@@ -14,7 +14,10 @@ non-metric field agrees — including the ``smoke`` flag, so reduced-size
 CI smoke numbers are never judged against full-mode baselines.  A fresh
 row with no matching baseline row is skipped (new cells and axis
 extensions must not fail the guard), as is a whole artifact missing
-from the baseline directory.
+from the baseline directory.  A baseline row with no fresh counterpart
+(a deleted benchmark cell) is not a failure either, but it is printed
+under a per-artifact ``dropped rows`` count so removed cells show in
+the log instead of vanishing silently.
 
 Metrics and direction:
 
@@ -74,6 +77,20 @@ def _load_tables(path: Path) -> dict[str, list[dict]] | None:
         return None
     tables = data.get("tables")
     return tables if isinstance(tables, dict) else None
+
+
+def dropped_rows(
+    baseline: dict[str, list[dict]], fresh: dict[str, list[dict]]
+) -> list[tuple[str, dict]]:
+    """Baseline rows (table, key) that no fresh row matches."""
+    dropped = []
+    for table, base_rows in sorted(baseline.items()):
+        fresh_keys = {_row_key(row) for row in fresh.get(table, [])}
+        for row in base_rows:
+            key = _row_key(row)
+            if key not in fresh_keys:
+                dropped.append((table, dict(key)))
+    return dropped
 
 
 def compare(
@@ -156,8 +173,11 @@ def main(argv: list[str] | None = None) -> int:
             base, fresh, args.tolerance, name,
         )
         total_compared += compared
+        dropped = dropped_rows(base, fresh)
         print(f"{name}: {compared} rows compared, "
-              f"{len(failures)} regressions")
+              f"{len(failures)} regressions, {len(dropped)} dropped rows")
+        for table, key in dropped:
+            print(f"  dropped {table}: {key}")
         all_failures.extend(failures)
 
     if all_failures:

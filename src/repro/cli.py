@@ -13,8 +13,8 @@ Subcommands cover the common workflows without writing Python:
   multistart fan-out and surface its per-restart stats);
 * ``repro stream [apps…]`` — replay app traces as live requirement
   streams through the sharded serving layer
-  (:class:`~repro.serve.shard.ShardPool`; ``--shards``/``--shard-procs``
-  pick the fleet shape, 1 thread shard by default) and print
+  (:class:`~repro.serve.shard.ShardPool`; ``--shards`` picks the
+  shard count, 1 by default) and print
   per-session accounting plus steps/sec and hyper-rate metrics —
   finite replays and live sockets share this code path;
 * ``repro serve`` — run the network serving process: asyncio TCP (or
@@ -376,7 +376,7 @@ def cmd_stream(args) -> int:
     # Finite replays run through the same shard layer a live socket
     # fleet does (repro serve); a 1-shard pool is the old single-hub
     # behavior, per-session results are identical for any shape.
-    pool = ShardPool(args.shards, procs=args.shard_procs)
+    pool = ShardPool(args.shards)
     try:
         sessions = []  # (session_id, app, masks)
         for app in apps:
@@ -442,12 +442,11 @@ def cmd_stream(args) -> int:
             run.schedule.r,
             round(run.cost, 1),
         ])
-    kind = "proc" if args.shard_procs else "thread"
     print(format_table(
         ["session", "policy", "steps", "hypers", "cost"],
         rows,
         title=f"stream: {len(sessions)} session(s), "
-              f"{args.shards} {kind} shard(s), "
+              f"{args.shards} shard(s), "
               f"chunk={args.chunk}, repeat={args.repeat}",
     ))
     print()
@@ -465,7 +464,6 @@ def cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             shards=args.shards,
-            shard_procs=args.shard_procs,
             max_sessions=args.max_sessions,
             max_chunk_steps=args.max_chunk,
             queue_depth=args.queue_depth,
@@ -507,10 +505,8 @@ def cmd_serve(args) -> int:
             else:
                 host, port = server.address
                 print(f"serving on {host}:{port} "
-                      f"({config.shards} "
-                      f"{'proc' if config.shard_procs else 'thread'} "
-                      f"shard(s))", file=sys.stderr)
-                if server.metrics_address is not None:
+                      f"({config.shards} shard(s))", file=sys.stderr)
+                if config.metrics_port is not None:
                     mhost, mport = server.metrics_address
                     print(f"metrics on http://{mhost}:{mport}/metrics",
                           file=sys.stderr)
@@ -621,7 +617,6 @@ def cmd_serve_bench(args) -> int:
     for shards in shard_counts:
         config = ServeConfig(
             shards=shards,
-            shard_procs=args.shard_procs,
             max_sessions=max(4096, args.sessions + 1),
         )
         with ServerThread(config) as (host, port):
@@ -698,13 +693,12 @@ def cmd_serve_bench(args) -> int:
         json.dump(payload, sys.stdout, indent=2)
         print()
         return 0
-    kind = "proc" if args.shard_procs else "thread"
     print(format_table(
         ["shards", "proto", "sessions", "steps", "wall s", "steps/s",
          "fused %", "frames/s", "req bytes", "decode ms",
          "client p50/p95/p99 ms", "drain p50/p95/p99 ms", "verified"],
         rows,
-        title=f"serve-bench: loopback, {kind} shards, "
+        title="serve-bench: loopback, "
               f"{args.clients} client(s), chunk={args.chunk}, "
               f"policy={args.policy}",
     ))
@@ -1103,10 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hub shards the sessions hash-partition across",
     )
     p_stream.add_argument(
-        "--shard-procs", action="store_true",
-        help="process shards instead of threads (true parallelism)",
-    )
-    p_stream.add_argument(
         "--naive", action="store_true",
         help="use the naive (non-holding) compiler mapping",
     )
@@ -1126,10 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--shards", type=int, default=1,
         help="hub shards the sessions hash-partition across",
-    )
-    p_serve.add_argument(
-        "--shard-procs", action="store_true",
-        help="process shards instead of threads",
     )
     p_serve.add_argument(
         "--max-sessions", type=int, default=4096,
@@ -1218,10 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sbench.add_argument(
         "--shard-counts", type=int, nargs="*", metavar="N",
         help="shard counts to sweep (default: 1 2 4)",
-    )
-    p_sbench.add_argument(
-        "--shard-procs", action="store_true",
-        help="process shards instead of threads",
     )
     p_sbench.add_argument(
         "--policy", choices=["rent_or_buy", "window"], default="rent_or_buy",

@@ -35,9 +35,6 @@ id below ``e`` forever:
 
 * the serve feed path interns each connection's new rows once and
   ships :class:`InternedChunk` ids through the shard queues;
-* process shards keep a replica arena, synced by shipping
-  ``(upto, new_rows)`` deltas over the pipe (``extend_to``) — steady
-  state ships ids only;
 * the batch engine interns worker payloads against the arena
   (``intern_chunk(..., arena=True)``); under the ``fork`` start method
   children inherit every row interned before the pool spawned, so the
@@ -102,11 +99,7 @@ class MaskArena:
     lane vectors (``L = ceil(width/64)``), each stored once at a stable
     ``uint32`` id in first-seen order.  The arena's **epoch** is its
     row count; epochs only grow, so an id is valid forever once any
-    observer has seen an epoch above it.  ``snapshot_since``/
-    ``extend_to`` are the replica-sync pair process shards use:
-    the parent ships the rows appended since the shard's last synced
-    epoch, the replica appends exactly the tail it is missing (rows it
-    inherited on fork are skipped, never duplicated).
+    observer has seen an epoch above it.
     """
 
     __slots__ = ("width", "lanes_per_row", "_lock", "_ids", "_buf", "_n")
@@ -211,34 +204,6 @@ class MaskArena:
             for j in range(rows.shape[0])
         )
 
-    def snapshot_since(self, epoch: int) -> tuple[int, np.ndarray]:
-        """Atomically read ``(current_epoch, rows[epoch:])`` (copies)."""
-        with self._lock:
-            if not 0 <= epoch <= self._n:
-                raise ValueError(
-                    f"epoch {epoch} out of range [0, {self._n}]"
-                )
-            return self._n, self._buf[epoch : self._n].copy()
-
-    def extend_to(self, upto: int, rows) -> None:
-        """Replica side: append the delta ``rows`` ending at epoch
-        ``upto``, skipping any prefix this arena already holds (rows
-        inherited on fork overlap the first delta)."""
-        rows = self._check_lanes(rows)
-        base = upto - rows.shape[0]
-        if base < 0:
-            raise ValueError("delta is longer than its target epoch")
-        with self._lock:
-            if base > self._n:
-                raise ValueError(
-                    f"arena gap: delta starts at epoch {base}, replica "
-                    f"is at {self._n}"
-                )
-            if upto <= self._n:
-                return
-            for j in range(self._n - base, rows.shape[0]):
-                self._append_locked(rows[j].tobytes(), rows[j])
-
 
 _ARENAS: dict[int, MaskArena] = {}
 _ARENAS_LOCK = threading.Lock()
@@ -274,7 +239,7 @@ class InternedChunk:
 
     The serve ingest path's zero-re-encode form: the server interns a
     connection's new rows once at stage time, and everything downstream
-    — shard queues, process-shard pipes, the hub's chunk log — carries
+    — shard queues, the hub's chunk log — carries
     ``(C,)`` ids instead of ``(C, L)`` lane rows.  ``resolve()`` gathers
     the lane matrix back from the width's arena on the worker that
     actually advances the cursor.
@@ -313,7 +278,7 @@ class InternedSeq:
         ``masks`` is the chunk's shipped table — or ``None`` for
         arena-interned chunks, whose ids resolve against the global
         arena of the sequence's universe width (rows the worker
-        inherited on fork, or extended to over a shard pipe).
+        inherited on fork).
         """
         ids = np.frombuffer(self.blob, dtype=self.dtype)
         if masks is None:

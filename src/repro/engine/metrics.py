@@ -9,9 +9,9 @@ plain and lock-protected — cheap enough to leave on permanently.
 
 Distributions are log-bucketed :class:`~repro.obs.histogram.Histogram`
 families (p50/p95/p99, labeled by solver and shard).  The fixed bucket
-boundaries make snapshots mergeable: process shards ship
-:meth:`hist_wire` over their pipes and the pool folds them into one
-labeled view (see :meth:`~repro.serve.shard.ShardPool.merged_histograms`).
+boundaries make snapshots mergeable: each shard hub's
+:meth:`hist_wire` snapshot folds into one pool-wide labeled view
+(see :meth:`~repro.serve.shard.ShardPool.merged_histograms`).
 The families over *deterministic* quantities — ``stream_chunk_steps``,
 ``session_cost``, ``session_steps``, named in
 :data:`DETERMINISTIC_FAMILIES` — aggregate bit-identically across every
@@ -488,8 +488,8 @@ class EngineMetrics:
 
     def hist_wire(self, names=None) -> dict:
         """Mergeable wire snapshots of the named histogram families
-        (all of them by default) — what process shards ship over their
-        pipes and :meth:`ShardPool.merged_histograms` folds together."""
+        (all of them by default) — what
+        :meth:`ShardPool.merged_histograms` folds together per shard."""
         with self._lock:
             selected = tuple(names) if names is not None else tuple(self.hist)
             return {name: self.hist[name].to_wire() for name in selected}

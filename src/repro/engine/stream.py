@@ -448,7 +448,6 @@ class StreamHub:
         metrics: EngineMetrics | None = None,
         retain_runs: bool = True,
         tracer=None,
-        fused: bool = True,
     ):
         """``retain_runs=False`` drops finished runs after handing them
         to the caller (and releases their session ids for reuse) — the
@@ -456,14 +455,10 @@ class StreamHub:
         every closed session forever would leak O(steps) per user.
         ``tracer`` is an optional
         :class:`~repro.obs.trace.TraceRecorder`; the hub records
-        open/feed/close spans into it.  ``fused=False`` disables the
-        fused multi-session sweep and advances sessions back to back —
-        the sequential baseline benchmark E16 measures the fused path
-        against (answers are bit-identical either way)."""
+        open/feed/close spans into it."""
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self.retain_runs = retain_runs
         self.tracer = tracer
-        self.fused = fused
         self._sessions: dict[str, StreamSession] = {}
         self._runs: dict[str, OnlineRun] = {}
         self._auto_id = count()
@@ -550,30 +545,23 @@ class StreamHub:
 
         ``chunks`` maps session ids to whatever
         :meth:`StreamSession.feed_many` accepts (mask iterables or
-        lane-packed arrays).  With :attr:`fused` (the default) the hub
-        groups compatible lane chunks — same cursor kind, lane width
-        and history; chunk lengths may be ragged — and advances each
-        group through the policy's epoch-synchronous ``sweep_many``
-        kernel: quiet sessions complete in the first struct-of-arrays
-        epoch, and triggering sessions stay stacked through batched
-        trigger replay instead of ejecting to per-session Python
-        (bit-identical decisions either way).  The call's wall time,
-        aggregate step/hyper counts, fused/fallback session counts and
-        replay-epoch/trigger totals land in the hub metrics.
+        lane-packed arrays).  The hub groups compatible lane chunks —
+        same cursor kind, lane width and history; chunk lengths may be
+        ragged — and advances each group through the policy's
+        epoch-synchronous ``sweep_many`` kernel: quiet sessions
+        complete in the first struct-of-arrays epoch, and triggering
+        sessions stay stacked through batched trigger replay instead of
+        ejecting to per-session Python (bit-identical decisions either
+        way).  The call's wall time, aggregate step/hyper counts,
+        fused/fallback session counts and replay-epoch/trigger totals
+        land in the hub metrics.
         """
         sessions = {sid: self.session(sid) for sid in chunks}
         out: dict[str, StreamBatch] = {}
         start = time.perf_counter()
-        fused = fallback = 0
-        group_sizes: tuple[int, ...] = ()
-        epochs = triggers = 0
-        if self.fused:
-            fused, fallback, group_sizes, epochs, triggers = (
-                self._feed_many_fused(sessions, chunks, out)
-            )
-        else:
-            for sid, masks in chunks.items():
-                out[sid] = sessions[sid].feed_many(masks)
+        fused, fallback, group_sizes, epochs, triggers = (
+            self._feed_many_fused(sessions, chunks, out)
+        )
         if len(out) != len(chunks):  # pragma: no cover - defensive
             raise RuntimeError("fused dispatch lost a session chunk")
         out = {sid: out[sid] for sid in chunks}  # caller's order

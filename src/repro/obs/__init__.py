@@ -19,7 +19,7 @@ building blocks, all dependency-free and cheap enough to leave on:
 
 :class:`~repro.engine.metrics.EngineMetrics` owns the well-known
 histogram families; :class:`~repro.serve.shard.ShardPool` merges the
-per-shard snapshots (process shards ship them over their pipes); the
+per-shard snapshots; the
 :class:`~repro.serve.server.StreamServer` exposes everything through
 the ``stats``/``metrics`` frames and the ``/metrics`` endpoint.
 """

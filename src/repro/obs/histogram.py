@@ -16,7 +16,7 @@ Two schemes cover the stack:
   (factor 2**0.5), for step counts and costs.
 
 Snapshots travel as JSON-safe sparse dicts (:meth:`Histogram.to_wire`)
-— the same form rides the process-shard pipes, the ``metrics`` wire
+— the same form feeds the shard-pool merge, the ``metrics`` wire
 frame, and the Prometheus exposition.  ``total`` is a float sum and
 therefore order-dependent; distribution equality (:meth:`Histogram.key`
 / ``==``) deliberately excludes it.

@@ -82,7 +82,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is in .address)
     shards: int = 1
-    shard_procs: bool = False
     max_sessions: int = 4096
     max_chunk_steps: int = 65536
     queue_depth: int = 64
@@ -347,11 +346,7 @@ class StreamServer:
         self.pool = (
             pool
             if pool is not None
-            else ShardPool(
-                self.config.shards,
-                procs=self.config.shard_procs,
-                tracer=self.tracer,
-            )
+            else ShardPool(self.config.shards, tracer=self.tracer)
         )
         if self.pool.shards != self.config.shards:
             raise ValueError("pool shard count disagrees with the config")
@@ -373,7 +368,7 @@ class StreamServer:
         self._drainers: list[asyncio.Task] = []
         self._server: asyncio.AbstractServer | None = None
         self._writers: set = set()  # live client connections
-        # Shard calls block (locks, pipes, NumPy); they run on this
+        # Shard calls block (locks, NumPy); they run on this
         # executor so the event loop keeps accepting frames.  One
         # worker per shard plus one for open/close/stats traffic.
         self._executor = ThreadPoolExecutor(

@@ -2,19 +2,11 @@
 
 A single :class:`~repro.engine.stream.StreamHub` advances sessions back
 to back in one thread.  Sessions are independent, so the serving layer
-hash-partitions them across a pool of *shards*, each wrapping one hub:
-
-* **thread shards** (default) keep every hub in-process behind a lock;
-  NumPy releases the GIL on large lane chunks, so concurrent
-  ``feed_many`` calls across shards overlap on multicore machines with
-  zero serialization cost;
-* **process shards** (``procs=True``) give each hub its own
-  interpreter — true parallelism for Python-bound workloads.  Lane
-  chunks cross the process boundary pickled, or — above the same
-  threshold the batch engine uses — through one
-  :mod:`multiprocessing.shared_memory` segment per drain cycle
-  (the existing zero-copy fan-out, reused; both sides of the trade
-  land in the pool metrics as bytes shipped vs. shared).
+hash-partitions them across a pool of *shards*, each one in-process
+hub behind its own lock, advanced by its own executor worker.  More
+shards have not been shown to add throughput: on E17's calm fleet
+(32 sessions × 4000 steps, width 256) one to four shards went from
+2.00M to 1.68M steps/s.
 
 Placement is **decision-free**: a session's shard is
 ``crc32(session_id) % shards`` (stable across runs and processes), and
@@ -22,28 +14,24 @@ every session runs its own independent cursor state, so per-session
 costs are bit-identical no matter how many shards serve the fleet —
 ``tests/test_serve_shard.py`` pins a pool of any shape against a single
 hub.  Aggregate accounting (sessions, steps, hypers, wall time) is
-recorded parent-side into one shared
-:class:`~repro.engine.metrics.EngineMetrics`, so the operator report
-looks the same whether the fleet runs on one hub or sixteen shards.
+recorded into one shared :class:`~repro.engine.metrics.EngineMetrics`,
+so the operator report looks the same whether the fleet runs on one
+hub or sixteen shards.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.core.switches import SwitchUniverse
-from repro.engine.batch import SHARED_LANES_MIN_BYTES, _attach_shared
-from repro.engine.intern import InternedChunk, arena_for, arena_stats
+from repro.engine.intern import arena_stats
 from repro.engine.metrics import DETERMINISTIC_FAMILIES, EngineMetrics
 from repro.engine.stream import StreamBatch, StreamHub
 from repro.obs.histogram import HistogramFamily
@@ -63,7 +51,7 @@ def shard_index(session_id: str, shards: int) -> int:
 @dataclass(frozen=True)
 class BatchSummary:
     """Wire-sized view of one :class:`StreamBatch` (no per-step arrays;
-    what a reply frame or a cross-process pipe actually needs)."""
+    what a reply frame actually needs)."""
 
     start: int
     steps: int
@@ -82,230 +70,6 @@ def _summarize(batch: StreamBatch) -> BatchSummary:
     )
 
 
-# ---------------------------------------------------------------------------
-# Shared-memory lane transport (process shards)
-# ---------------------------------------------------------------------------
-
-
-class _SharedChunks:
-    """One drain cycle's lane chunks in a single shared segment.
-
-    Pickles as the segment name plus per-session (offset, shape)
-    descriptors; the worker maps the segment once and slices per-session
-    views (sessions copy what they keep, so the parent may unlink as
-    soon as the feed call returns).
-    """
-
-    __slots__ = ("name", "layout")
-
-    def __init__(self, name: str, layout):
-        self.name = name
-        self.layout = layout  # [(sid, offset_bytes, C, L)]
-
-    @classmethod
-    def publish(cls, chunks: dict[str, np.ndarray]):
-        """Copy the chunks into a fresh segment; returns (handle, shm)."""
-        total = sum(lanes.nbytes for lanes in chunks.values())
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        layout = []
-        offset = 0
-        for sid, lanes in chunks.items():
-            C, L = lanes.shape
-            view = np.ndarray((C, L), dtype=np.uint64, buffer=shm.buf,
-                              offset=offset)
-            view[:] = lanes
-            layout.append((sid, offset, C, L))
-            offset += lanes.nbytes
-        return cls(shm.name, layout), shm
-
-    def materialize(self):
-        """Worker side: map the segment, slice per-session views."""
-        shm = _attach_shared(self.name)
-        chunks = {
-            sid: np.ndarray((C, L), dtype=np.uint64, buffer=shm.buf,
-                            offset=offset)
-            for sid, offset, C, L in self.layout
-        }
-        return chunks, shm
-
-
-# ---------------------------------------------------------------------------
-# Shard workers
-# ---------------------------------------------------------------------------
-
-
-class _ThreadShard:
-    """One in-process hub behind a lock (drainers and CLI paths may
-    touch different shards concurrently, never one shard twice)."""
-
-    kind = "thread"
-
-    def __init__(self):
-        # The shard hub keeps its own private metrics (the pool
-        # aggregates parent-side so thread and process shards report
-        # identically) and drops finished runs — a serving process
-        # closing sessions forever must not retain them.
-        self.hub = StreamHub(metrics=EngineMetrics(), retain_runs=False)
-        self.lock = threading.Lock()
-
-    def open(self, scheduler, universe, w, session_id):
-        with self.lock:
-            return self.hub.open(
-                scheduler, universe, w, session_id=session_id
-            )
-
-    def feed_many(self, chunks):
-        """One drain cycle: summaries plus the hub's fused/fallback
-        session counts for that cycle (the pool re-records them in the
-        parent metrics so thread and process shards report alike)."""
-        with self.lock:
-            batches = self.hub.feed_many(chunks)
-            fused = self.hub.last_fused
-        return (
-            {sid: _summarize(batch) for sid, batch in batches.items()},
-            fused,
-        )
-
-    def finish(self, session_id) -> OnlineRun:
-        with self.lock:
-            return self.hub.finish(session_id)
-
-    def hist_wire(self) -> dict:
-        """Mergeable snapshots of the deterministic histogram families
-        this shard's hub recorded (chunk steps, session cost/steps)."""
-        with self.lock:
-            return self.hub.metrics.hist_wire(DETERMINISTIC_FAMILIES)
-
-    def close(self):
-        pass
-
-
-def _shard_worker(conn):  # pragma: no cover - exercised in a child process
-    """Process-shard main loop: one hub, commands over a pipe."""
-    hub = StreamHub(metrics=EngineMetrics(), retain_runs=False)
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        op = msg[0]
-        try:
-            if op == "open":
-                _op, scheduler, universe, w, session_id = msg
-                conn.send(("ok", hub.open(
-                    scheduler, universe, w, session_id=session_id
-                )))
-            elif op == "feed_many":
-                _op, chunks, interned, deltas = msg
-                # Extend the replica arenas *before* any chunk resolves:
-                # the parent ships exactly the rows appended since this
-                # shard's last synced epoch (rows inherited on fork
-                # overlap the first delta and are skipped).
-                for width, (upto, rows) in deltas.items():
-                    arena_for(width).extend_to(upto, rows)
-                shm = None
-                if isinstance(chunks, _SharedChunks):
-                    chunks, shm = chunks.materialize()
-                if interned:
-                    chunks = {**chunks, **interned}
-                try:
-                    batches = hub.feed_many(chunks)
-                finally:
-                    if shm is not None:
-                        shm.close()
-                conn.send(("ok", (
-                    {
-                        sid: _summarize(batch)
-                        for sid, batch in batches.items()
-                    },
-                    hub.last_fused,
-                )))
-            elif op == "finish":
-                conn.send(("ok", hub.finish(msg[1])))
-            elif op == "metrics":
-                conn.send(
-                    ("ok", hub.metrics.hist_wire(DETERMINISTIC_FAMILIES))
-                )
-            elif op == "stop":
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("err", "ValueError", f"unknown shard op {op!r}"))
-        except Exception as exc:  # noqa: BLE001 - process boundary
-            conn.send(("err", type(exc).__name__, str(exc)))
-    conn.close()
-
-
-_ERROR_TYPES = {
-    "ValueError": ValueError,
-    "KeyError": KeyError,
-    "RuntimeError": RuntimeError,
-}
-
-
-class _ProcShard:
-    """One hub in a child process, commands over a duplex pipe."""
-
-    kind = "proc"
-
-    def __init__(self):
-        parent, child = multiprocessing.Pipe()
-        self._conn = parent
-        self._proc = multiprocessing.Process(
-            target=_shard_worker, args=(child,), daemon=True
-        )
-        self._proc.start()
-        child.close()
-        self.lock = threading.Lock()
-        #: width -> highest global-arena epoch this worker's replica
-        #: has been extended to (per-shard calls are serialized — one
-        #: drainer per shard — so read-then-ship is race-free).
-        self.synced: dict[int, int] = {}
-
-    def _call(self, *msg):
-        with self.lock:
-            self._conn.send(msg)
-            reply = self._conn.recv()
-        if reply[0] == "ok":
-            return reply[1]
-        _tag, name, text = reply
-        raise _ERROR_TYPES.get(name, RuntimeError)(text)
-
-    def open(self, scheduler, universe, w, session_id):
-        return self._call("open", scheduler, universe, w, session_id)
-
-    def feed_many(self, chunks, interned=None, deltas=None):
-        return self._call(
-            "feed_many", chunks, interned or {}, deltas or {}
-        )
-
-    def finish(self, session_id) -> OnlineRun:
-        return self._call("finish", session_id)
-
-    def hist_wire(self) -> dict:
-        """Deterministic-family snapshots shipped over the pipe."""
-        return self._call("metrics")
-
-    def close(self):
-        with self.lock:
-            if self._proc.is_alive():
-                try:
-                    self._conn.send(("stop",))
-                    self._conn.recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-            self._conn.close()
-        self._proc.join(timeout=5)
-        if self._proc.is_alive():  # pragma: no cover - stuck worker
-            self._proc.terminate()
-            self._proc.join(timeout=5)
-
-
-# ---------------------------------------------------------------------------
-# The pool
-# ---------------------------------------------------------------------------
-
-
 class ShardPool:
     """Sessions hash-partitioned across a pool of hub shards.
 
@@ -314,46 +78,45 @@ class ShardPool:
     ``finish`` keep their shapes, chunks are partitioned by the owning
     shard and advanced concurrently (one executor worker per shard),
     and per-session results are bit-identical to the single-hub replay
-    regardless of ``shards``/``procs``.
+    regardless of ``shards``.
+
+    Each shard is one :class:`StreamHub` behind a lock (drainers and
+    CLI paths may touch different shards concurrently, never one shard
+    twice).  A shard hub keeps its own private metrics — the
+    deterministic histogram families it records merge per shard in
+    :meth:`merged_histograms` — and drops finished runs, so a serving
+    process closing sessions forever does not retain them.
 
     Parameters
     ----------
     shards:
-        Number of hub workers.
-    procs:
-        ``True`` runs each shard in its own process (pipes + optional
-        shared-memory lane transport); default is in-process threads.
+        Number of hub shards.
     metrics:
-        Parent-side :class:`EngineMetrics` all aggregate streaming
+        Pool-level :class:`EngineMetrics` all aggregate streaming
         counters land in (created when omitted).
-    shared_lanes:
-        Process-shard lane transport: ``True`` always ships drain
-        cycles through shared memory, ``False`` always pickles,
-        ``None`` (auto) shares cycles of at least
-        :data:`~repro.engine.batch.SHARED_LANES_MIN_BYTES`.
     tracer:
         Optional :class:`~repro.obs.trace.TraceRecorder`; the pool
-        records parent-side ``drain`` and ``close`` spans.
+        records pool-level ``drain`` and ``close`` spans.
     """
 
     def __init__(
         self,
         shards: int = 1,
         *,
-        procs: bool = False,
         metrics: EngineMetrics | None = None,
-        shared_lanes: bool | None = None,
         tracer=None,
     ):
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.shards = shards
-        self.procs = procs
-        self.shared_lanes = shared_lanes
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._shards = [
-            _ProcShard() if procs else _ThreadShard() for _ in range(shards)
+            (
+                StreamHub(metrics=EngineMetrics(), retain_runs=False),
+                threading.Lock(),
+            )
+            for _ in range(shards)
         ]
         self._executor = ThreadPoolExecutor(
             max_workers=shards, thread_name_prefix="shard"
@@ -406,11 +169,13 @@ class ShardPool:
             elif session_id in self._placement:
                 raise ValueError(f"session id {session_id!r} already in use")
             shard = shard_index(session_id, self.shards)
-            # Reserve before the (possibly cross-process) open so two
-            # racing opens of one id cannot both reach the shard.
+            # Reserve before the open so two racing opens of one id
+            # cannot both reach the shard.
             self._placement[session_id] = shard
+        hub, lock = self._shards[shard]
         try:
-            self._shards[shard].open(scheduler, universe, w, session_id)
+            with lock:
+                hub.open(scheduler, universe, w, session_id=session_id)
         except BaseException:
             with self._lock:
                 self._placement.pop(session_id, None)
@@ -427,9 +192,6 @@ class ShardPool:
 
         ``chunks`` must all belong to ``shard`` (the server's per-shard
         queues guarantee it; :meth:`feed_many` partitions for you).
-        The whole cycle crosses to a process shard as a single message —
-        pickled, or through one shared-memory segment when the lane
-        bytes clear the batch engine's threshold.
         """
         if not chunks:
             return {}
@@ -455,19 +217,12 @@ class ShardPool:
 
     def _feed_shard(self, shard, chunks) -> dict[str, BatchSummary]:
         """One shard drain cycle, no latency metrics (callers time
-        themselves); the cycle's fused/fallback counts are folded into
-        the pool metrics here, where both shard kinds converge."""
-        worker = self._shards[shard]
-        if worker.kind != "proc":
-            out, fused = worker.feed_many(chunks)
-        else:
-            payload, interned, deltas, shm = self._pack_cycle(worker, chunks)
-            try:
-                out, fused = worker.feed_many(payload, interned, deltas)
-            finally:
-                if shm is not None:
-                    shm.close()
-                    shm.unlink()
+        themselves); the hub's fused/fallback counts for the cycle are
+        re-recorded in the pool metrics."""
+        hub, lock = self._shards[shard]
+        with lock:
+            batches = hub.feed_many(chunks)
+            fused = hub.last_fused
         if fused[0] or fused[1]:
             self.metrics.record_fused(
                 sessions=fused[0],
@@ -476,78 +231,7 @@ class ShardPool:
                 epochs=fused[3],
                 triggers=fused[4],
             )
-        return out
-
-    def _arena_deltas(self, worker, interned):
-        """Rows the worker's replica arenas are missing for ``interned``.
-
-        The ids in an :class:`InternedChunk` were minted at stage time,
-        so every referenced row sits below the arena's *current* epoch;
-        shipping ``snapshot_since(synced)`` therefore covers them all.
-        Per-shard serialization (one drainer per shard) makes the
-        read-advance of ``worker.synced`` race-free.
-        """
-        deltas = {}
-        for width in {c.width for c in interned.values()}:
-            synced = worker.synced.get(width, 0)
-            upto, rows = arena_for(width).snapshot_since(synced)
-            if upto > synced:
-                deltas[width] = (upto, rows)
-                worker.synced[width] = upto
-        return deltas
-
-    def _pack_cycle(self, worker, chunks):
-        """Pick the pipe payload for one process-shard drain cycle.
-
-        Returns ``(payload, interned, deltas, shm)``: the non-interned
-        chunks (a dict or one :class:`_SharedChunks` handle), the
-        interned chunks (ids only — the arena deltas carry any rows the
-        replica is missing), and the shared segment to unlink, if any.
-        """
-        interned = {
-            sid: chunk for sid, chunk in chunks.items()
-            if isinstance(chunk, InternedChunk)
-        }
-        rest = {
-            sid: chunk for sid, chunk in chunks.items()
-            if sid not in interned
-        }
-        deltas = self._arena_deltas(worker, interned)
-        if interned:
-            self.metrics.record_shipment(shipped=(
-                sum(c.ids.nbytes for c in interned.values())
-                + sum(rows.nbytes for _upto, rows in deltas.values())
-            ))
-        if not rest:
-            return {}, interned, deltas, None
-        lane_chunks = {
-            sid: np.ascontiguousarray(lanes, dtype=np.uint64)
-            for sid, lanes in rest.items()
-            if isinstance(lanes, np.ndarray) and lanes.ndim == 2
-        }
-        if len(lane_chunks) != len(rest):
-            # Mixed mask-list input: pickle the lot (CLI convenience
-            # path; the server always feeds decoded lanes).
-            return rest, interned, deltas, None
-        nbytes = sum(lanes.nbytes for lanes in lane_chunks.values())
-        share = (
-            self.shared_lanes
-            if self.shared_lanes is not None
-            else nbytes >= SHARED_LANES_MIN_BYTES
-        )
-        if not share:
-            self.metrics.record_shipment(shipped=nbytes)
-            return lane_chunks, interned, deltas, None
-        try:
-            handle, shm = _SharedChunks.publish(lane_chunks)
-        except Exception:  # pragma: no cover - no /dev/shm etc.
-            self.metrics.record_shipment(shipped=nbytes)
-            return lane_chunks, interned, deltas, None
-        self.metrics.record_shipment(
-            shipped=len(pickle.dumps(handle, pickle.HIGHEST_PROTOCOL)),
-            shared=nbytes,
-        )
-        return handle, interned, deltas, shm
+        return {sid: _summarize(batch) for sid, batch in batches.items()}
 
     def feed_many(self, chunks) -> dict[str, BatchSummary]:
         """Serve one chunk per session, shards advanced concurrently.
@@ -585,7 +269,9 @@ class ShardPool:
     def finish(self, session_id: str) -> OnlineRun:
         """Close one session (validated); the id becomes reusable."""
         shard = self.shard_of(session_id)
-        run = self._shards[shard].finish(session_id)
+        hub, lock = self._shards[shard]
+        with lock:
+            run = hub.finish(session_id)
         with self._lock:
             self._placement.pop(session_id, None)
         # Counter only: the shard's hub recorded the deterministic
@@ -606,20 +292,21 @@ class ShardPool:
     def merged_histograms(self) -> dict[str, HistogramFamily]:
         """One labeled histogram view of the whole pool.
 
-        Starts from the parent-side families (timing: drain cycles,
+        Starts from the pool-level families (timing: drain cycles,
         feed latency) and folds in every shard's deterministic-family
-        wire snapshot tagged ``shard=<i>`` — process shards ship theirs
-        over the pipe.  The fixed bucket boundaries make the fold pure
-        addition, so the aggregate of each deterministic family is
-        bit-identical to what a single hub records for the same
-        traffic, no matter the pool shape.
+        wire snapshot tagged ``shard=<i>``.  The fixed bucket
+        boundaries make the fold pure addition, so the aggregate of
+        each deterministic family is bit-identical to what a single hub
+        records for the same traffic, no matter the pool shape.
         """
         merged = {
             name: HistogramFamily.from_wire(wire)
             for name, wire in self.metrics.hist_wire().items()
         }
-        for i, shard in enumerate(self._shards):
-            for name, wire in shard.hist_wire().items():
+        for i, (hub, lock) in enumerate(self._shards):
+            with lock:
+                wires = hub.metrics.hist_wire(DETERMINISTIC_FAMILIES)
+            for name, wire in wires.items():
                 merged[name].merge_wire(wire, extra_labels={"shard": str(i)})
         return merged
 
@@ -637,11 +324,7 @@ class ShardPool:
         }
         shards = []
         for i in range(self.shards):
-            row = {
-                "shard": i,
-                "kind": self._shards[i].kind,
-                "sessions": occupancy[i],
-            }
+            row = {"shard": i, "sessions": occupancy[i]}
             drain = drain_by_shard.get(str(i))
             if drain is not None and drain.count:
                 row["drain"] = drain.snapshot()
@@ -657,13 +340,11 @@ class ShardPool:
         }
 
     def close(self) -> None:
-        """Tear down shard workers (idempotent)."""
+        """Shut the shard executor down (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        for shard in self._shards:
-            shard.close()
 
     def __enter__(self) -> "ShardPool":
         return self
@@ -674,6 +355,5 @@ class ShardPool:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardPool(shards={self.shards}, "
-            f"kind={'proc' if self.procs else 'thread'}, "
             f"live={len(self._placement)})"
         )

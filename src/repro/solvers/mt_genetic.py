@@ -30,12 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.context import RequirementSequence
-from repro.core.delta import (
-    PopulationEvaluator,
-    merge_evaluator_stats,
-    pack_mask_lanes,
-    population_switch_cost,
-)
+from repro.core.delta import PopulationEvaluator, merge_evaluator_stats
 from repro.core.machine import MachineModel
 from repro.core.packed import PackedProblem
 from repro.core.schedule import MultiTaskSchedule
@@ -45,12 +40,7 @@ from repro.solvers.base import MTSolveResult
 from repro.solvers.mt_greedy import solve_mt_from_single, solve_mt_independent
 from repro.util.rng import SeedLike, make_rng
 
-__all__ = ["GAParams", "solve_mt_genetic", "population_fitness"]
-
-# Backwards-compatible aliases: the batched fitness kernel now lives in
-# repro.core.delta next to the incremental evaluator it complements.
-_mask_lanes = pack_mask_lanes
-population_fitness = population_switch_cost
+__all__ = ["GAParams", "solve_mt_genetic"]
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ __all__ = [
     "popcount_u64",
     "random_mask",
     "symmetric_difference_size",
-    "masks_to_u64",
-    "u64_to_mask",
 ]
 
 
@@ -107,27 +105,3 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
     x = (x + (x >> np.uint64(4))) & _M4
     with np.errstate(over="ignore"):  # the SWAR multiply wraps by design
         return (x * _H01) >> _SHIFT56
-
-
-def masks_to_u64(masks: Iterable[int]) -> np.ndarray:
-    """Pack Python-int masks (must fit in 64 bits) into a uint64 array.
-
-    Thin alias over :func:`repro.core.packed.masks_to_u64` — the lane
-    packing primitives now live in :mod:`repro.core.packed` (imported
-    lazily here to keep ``util`` free of import-time ``core``
-    dependencies).  Kept so PR-2 callers keep working.
-    """
-    from repro.core.packed import masks_to_u64 as _masks_to_u64
-
-    return _masks_to_u64(masks)
-
-
-def u64_to_mask(x: np.uint64 | int) -> int:
-    """Convert a uint64 lane back into a Python int mask.
-
-    Thin alias over :func:`repro.core.packed.u64_to_mask` (see
-    :func:`masks_to_u64`).
-    """
-    from repro.core.packed import u64_to_mask as _u64_to_mask
-
-    return _u64_to_mask(x)

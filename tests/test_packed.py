@@ -11,15 +11,14 @@ correctness oracle.  These properties assert the two are *bit-identical*
 * the changeover variant (with per-task fixed costs) and the
   public-global pseudo-row,
 
-plus the compatibility aliases (``masks_to_u64`` & friends, the PR-2
-kernel entry points) and the engine's compile-once behaviour.
+plus the legacy ``(L, m, n)`` population-kernel layout and the engine's
+compile-once behaviour.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import delta as delta_mod
 from repro.core import packed as packed_mod
 from repro.core.context import RequirementSequence
 from repro.core.cost_single import switch_cost, switch_cost_changeover
@@ -42,7 +41,6 @@ from repro.core.sync_cost import (
     sync_switch_cost,
 )
 from repro.core.task import TaskSystem
-from repro.util import bitset
 from repro.util.rng import make_rng
 
 # Universe sizes that straddle the uint64 lane boundaries.
@@ -329,24 +327,8 @@ class TestPackedSequenceAndWindows:
 
 
 class TestCompatibilityAliases:
-    """Satellite: PR-2 public names stay importable and behaviorally
-    pinned as thin aliases over repro.core.packed."""
-
-    def test_delta_reexports_are_packed_objects(self):
-        assert delta_mod.pack_mask_lanes is packed_mod.pack_mask_lanes
-        assert (
-            delta_mod.population_switch_cost
-            is packed_mod.population_switch_cost
-        )
-
-    def test_bitset_u64_helpers_delegate(self):
-        masks = [0, 5, (1 << 64) - 1]
-        np.testing.assert_array_equal(
-            bitset.masks_to_u64(masks), packed_mod.masks_to_u64(masks)
-        )
-        with pytest.raises(ValueError):
-            bitset.masks_to_u64([1 << 64])
-        assert bitset.u64_to_mask(np.uint64(7)) == 7
+    """The population kernel keeps its legacy ``(L, m, n)`` lane
+    layout and scores bit-identically to the scalar cost."""
 
     def test_legacy_kernel_layout_and_values(self):
         universe = SwitchUniverse.of_size(70)

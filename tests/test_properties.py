@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.context import RequirementSequence
 from repro.core.cost_single import switch_cost
 from repro.core.machine import MachineModel, SyncMode, UploadMode
+from repro.core.packed import pack_mask_lanes, population_switch_cost
 from repro.core.schedule import MultiTaskSchedule, SingleTaskSchedule
 from repro.core.sync_cost import sync_switch_cost
 from repro.core.switches import SwitchUniverse
 from repro.core.task import Task, TaskSystem
 from repro.solvers.mt_async import solve_mt_async
-from repro.solvers.mt_genetic import _mask_lanes, population_fitness
 from repro.solvers.single_dp import solve_single_switch
 
 U = SwitchUniverse.of_size(8)
@@ -133,7 +133,7 @@ class TestGAKernelAgreement:
             ]
             pop_rows.append(rows)
         pop = np.array(pop_rows, dtype=bool)
-        lanes = _mask_lanes(seqs)
+        lanes = pack_mask_lanes(seqs)
         v = np.asarray(system.v)
         for hyper_par in (True, False):
             for reconf_par in (True, False):
@@ -146,7 +146,7 @@ class TestGAKernelAgreement:
                     if reconf_par
                     else UploadMode.TASK_SEQUENTIAL,
                 )
-                fit = population_fitness(
+                fit = population_switch_cost(
                     pop,
                     lanes,
                     v,

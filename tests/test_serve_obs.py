@@ -3,9 +3,9 @@
 Covers the telemetry plane end to end: trace ids through the wire
 protocol, the ``metrics`` frame (JSON + Prometheus text), the HTTP
 scrape endpoint, per-shard quantiles in ``stats`` — and the headline
-aggregation property: a process-sharded :class:`ShardPool` merges its
-workers' deterministic histograms to **bit-identical** equality with a
-single :class:`StreamHub` fed the same traffic.
+aggregation property: a sharded :class:`ShardPool` merges its shards'
+deterministic histograms to **bit-identical** equality with a single
+:class:`StreamHub` fed the same traffic.
 """
 
 import json
@@ -70,14 +70,10 @@ class TestHistogramBitIdentity:
             for name in DETERMINISTIC_FAMILIES
         }
 
-    @pytest.mark.parametrize(
-        ("shards", "procs"), [(1, False), (3, False), (3, True), (2, True)]
-    )
-    def test_pool_aggregates_bit_identical(
-        self, traces, oracle, shards, procs
-    ):
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_pool_aggregates_bit_identical(self, traces, oracle, shards):
         universe = SwitchUniverse.of_size(WIDTH)
-        with ShardPool(shards, procs=procs) as pool:
+        with ShardPool(shards) as pool:
             _drive(pool, traces, universe)
             merged = pool.merged_histograms()
         for name in DETERMINISTIC_FAMILIES:
@@ -90,7 +86,7 @@ class TestHistogramBitIdentity:
 
     def test_shard_labels_partition_the_aggregate(self, traces):
         universe = SwitchUniverse.of_size(WIDTH)
-        with ShardPool(3, procs=False) as pool:
+        with ShardPool(3) as pool:
             _drive(pool, traces, universe)
             merged = pool.merged_histograms()
         fam = merged["session_cost"]

@@ -13,6 +13,7 @@ generator.
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
@@ -29,6 +30,18 @@ from repro.solvers.online import RentOrBuyScheduler
 
 WIDTH = 96
 W = float(WIDTH)
+
+
+def _cli_env() -> dict:
+    """Environment for ``python -m repro.cli`` subprocesses."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(src) + os.pathsep + env["PYTHONPATH"]
+        if env.get("PYTHONPATH")
+        else str(src)
+    )
+    return env
 
 
 @pytest.fixture()
@@ -276,20 +289,13 @@ class TestStdinTransport:
             {"op": "close", "session": "a"},
             {"op": "stats"},
         ]
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(src) + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH")
-            else str(src)
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "serve", "--stdin",
              "--shards", "2"],
             input="".join(json.dumps(f) + "\n" for f in frames),
             capture_output=True,
             text=True,
-            env=env,
+            env=_cli_env(),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -301,3 +307,43 @@ class TestStdinTransport:
         assert not bad["ok"] and "unknown op" in bad["error"]
         assert closed["ok"] and closed["steps"] == 3
         assert stats["ok"] and stats["server"]["protocol_errors"] == 1
+
+
+class TestTcpEntryPoint:
+    def test_plain_serve_starts_and_stops_cleanly(self):
+        """`repro serve --port 0` with no metrics endpoint binds, reports
+        its address, and exits 0 on SIGTERM without a traceback."""
+        lines: list[str] = []
+        listening = threading.Event()
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_cli_env(),
+        ) as proc:
+
+            def _read_stderr():
+                for line in proc.stderr:
+                    lines.append(line)
+                    if line.startswith("serving on"):
+                        listening.set()
+                listening.set()  # EOF: the server exited
+
+            reader = threading.Thread(target=_read_stderr, daemon=True)
+            reader.start()
+            try:
+                assert listening.wait(60), "server never reported its address"
+                assert proc.poll() is None, "".join(lines)
+                proc.send_signal(signal.SIGTERM)
+                code = proc.wait(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+        stderr = "".join(lines)
+        assert code == 0, stderr
+        assert "Traceback" not in stderr
+        assert not any(line.startswith("metrics on") for line in lines)

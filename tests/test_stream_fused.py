@@ -77,11 +77,16 @@ def _mixed_scheduler(idx, w, k=5):
     )
 
 
-def _run_hub(fleet, *, fused, chunk_sizes):
-    """Feed every session the same chunking; return costs + schedules."""
-    hub = StreamHub(fused=fused)
-    for sid, (universe, w, scheduler, _masks, lanes) in fleet.items():
-        hub.open(scheduler, universe, w, session_id=sid)
+def feed_sequential(sessions, chunks):
+    """Reference for :meth:`StreamHub.feed_many`: advance each session
+    on its own, back to back, with no fused sweep."""
+    return {
+        sid: sessions[sid].feed_many(masks) for sid, masks in chunks.items()
+    }
+
+
+def _rounds(fleet, chunk_sizes):
+    """Per-round chunk dicts: every session takes the same chunking."""
     pos = {sid: 0 for sid in fleet}
     for size in chunk_sizes:
         chunks = {}
@@ -92,12 +97,37 @@ def _run_hub(fleet, *, fused, chunk_sizes):
             chunks[sid] = lanes[lo : lo + size]
             pos[sid] = lo + len(chunks[sid])
         if chunks:
-            hub.feed_many(chunks)
-    runs = hub.finish_all()
+            yield chunks
+
+
+def _outcome(runs):
     return (
         {sid: run.cost for sid, run in runs.items()},
         {sid: run.schedule.hyper_steps for sid, run in runs.items()},
-        hub,
+    )
+
+
+def _run_hub(fleet, *, chunk_sizes):
+    """Feed every session the same chunking through one fused hub;
+    return costs + schedules + the hub."""
+    hub = StreamHub()
+    for sid, (universe, w, scheduler, _masks, _lanes) in fleet.items():
+        hub.open(scheduler, universe, w, session_id=sid)
+    for chunks in _rounds(fleet, chunk_sizes):
+        hub.feed_many(chunks)
+    return (*_outcome(hub.finish_all()), hub)
+
+
+def _run_sequential(fleet, rounds):
+    """The same rounds through :func:`feed_sequential`."""
+    sessions = {
+        sid: StreamSession(scheduler, universe, w)
+        for sid, (universe, w, scheduler, _m, _l) in fleet.items()
+    }
+    for chunks in rounds:
+        feed_sequential(sessions, chunks)
+    return _outcome(
+        {sid: session.finish() for sid, session in sessions.items()}
     )
 
 
@@ -166,11 +196,9 @@ class TestFusedHubEquivalence:
         total = max(len(m) for *_rest, m, _l in
                     ((u, w, s, m, l) for u, w, s, m, l in fleet.values()))
         sizes = list(sizes) + [total]
-        fused_costs, fused_scheds, _ = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
-        seq_costs, seq_scheds, _ = _run_hub(
-            fleet, fused=False, chunk_sizes=sizes
+        fused_costs, fused_scheds, _ = _run_hub(fleet, chunk_sizes=sizes)
+        seq_costs, seq_scheds = _run_sequential(
+            fleet, _rounds(fleet, sizes)
         )
         assert fused_costs == seq_costs
         assert fused_scheds == seq_scheds
@@ -205,9 +233,7 @@ class TestFusedHubEquivalence:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * ((n + chunk - 1) // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
+        fused_costs, fused_scheds, hub = _run_hub(fleet, chunk_sizes=sizes)
         for idx, (sid, (u, _w, _s, masks, _l)) in enumerate(fleet.items()):
             cost, sched = _oracle(u, w, scheduler_for(idx), masks)
             assert fused_costs[sid] == cost
@@ -242,9 +268,7 @@ class TestFusedHubEquivalence:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
+        fused_costs, fused_scheds, hub = _run_hub(fleet, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         assert hub.metrics.stream_replay_epochs > 0
@@ -259,25 +283,6 @@ class TestFusedHubEquivalence:
         # at least once, and the counter is bounded by total steps.
         total_installs = sum(len(s) for s in fused_scheds.values())
         assert hub.metrics.stream_replay_triggers == total_installs
-
-    def test_fused_flag_off_never_records_fused(self):
-        width = 66
-        universe = SwitchUniverse.of_size(width)
-        w = 3.0
-        masks = _drift_masks(width, 40, seed=5)
-        lanes = masks_to_lanes(masks, width)
-        hub = StreamHub(fused=False)
-        for idx in range(3):
-            hub.open(
-                RentOrBuyScheduler(w, alpha=1.0, memory=2),
-                universe,
-                w,
-                session_id=f"u{idx}",
-            )
-        hub.feed_many({f"u{idx}": lanes for idx in range(3)})
-        assert hub.metrics.stream_fused == 0
-        assert hub.metrics.stream_fused_fallback == 0
-        assert hub.last_fused == (0, 0, (), 0, 0)
 
 
 class TestBatchedTriggerReplay:
@@ -304,9 +309,7 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
+        fused_costs, fused_scheds, hub = _run_hub(fleet, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         # k=1 cadence fires every step.
@@ -342,11 +345,9 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
-        seq_costs, seq_scheds, _ = _run_hub(
-            fleet, fused=False, chunk_sizes=sizes
+        fused_costs, fused_scheds, hub = _run_hub(fleet, chunk_sizes=sizes)
+        seq_costs, seq_scheds = _run_sequential(
+            fleet, _rounds(fleet, sizes)
         )
         assert fused_costs == seq_costs
         assert fused_scheds == seq_scheds
@@ -381,37 +382,41 @@ class TestBatchedTriggerReplay:
                 masks,
                 masks_to_lanes(masks, width),
             )
-        for fused in (True, False):
-            hub = StreamHub(fused=fused)
-            for sid, (u, _w, s, _m, _l) in fleet.items():
-                hub.open(s, u, w, session_id=sid)
-            pos = {sid: 0 for sid in fleet}
-            # Ragged rounds: session idx advances by a per-session
-            # stride, so each feed_many carries mixed chunk lengths.
-            strides = [7, 16, 23, 1, 31]
-            while any(pos[sid] < len(fleet[sid][3]) for sid in fleet):
-                chunks = {}
-                for idx, sid in enumerate(fleet):
-                    lo = pos[sid]
-                    ln = fleet[sid][4]
-                    if lo >= len(ln):
-                        continue
-                    chunks[sid] = ln[lo : lo + strides[idx]]
-                    pos[sid] = lo + len(chunks[sid])
-                hub.feed_many(chunks)
-            if fused:
-                assert hub.metrics.stream_fused > 0
-                assert hub.metrics.stream_fused_fallback == 0
-                # The final round is a lone leftover session — the old
-                # singleton short-circuit would have skipped it.
-                assert max(hub.last_fused[2], default=0) >= 1
-            runs = hub.finish_all()
+        # Ragged rounds: session idx advances by a per-session stride,
+        # so each feed_many carries mixed chunk lengths.
+        strides = [7, 16, 23, 1, 31]
+        pos = {sid: 0 for sid in fleet}
+        rounds = []
+        while any(pos[sid] < len(fleet[sid][3]) for sid in fleet):
+            chunks = {}
+            for idx, sid in enumerate(fleet):
+                lo = pos[sid]
+                ln = fleet[sid][4]
+                if lo >= len(ln):
+                    continue
+                chunks[sid] = ln[lo : lo + strides[idx]]
+                pos[sid] = lo + len(chunks[sid])
+            rounds.append(chunks)
+        hub = StreamHub()
+        for sid, (u, _w, s, _m, _l) in fleet.items():
+            hub.open(s, u, w, session_id=sid)
+        for chunks in rounds:
+            hub.feed_many(chunks)
+        assert hub.metrics.stream_fused > 0
+        assert hub.metrics.stream_fused_fallback == 0
+        # The final round is a lone leftover session — the old
+        # singleton short-circuit would have skipped it.
+        assert max(hub.last_fused[2], default=0) >= 1
+        for costs, scheds in (
+            _outcome(hub.finish_all()),
+            _run_sequential(fleet, rounds),
+        ):
             for sid, (u, _w, _s, masks, _l) in fleet.items():
                 cost, sched = _oracle(
                     u, w, RentOrBuyScheduler(w, **scheduler_args), masks
                 )
-                assert runs[sid].cost == cost
-                assert runs[sid].schedule.hyper_steps == sched
+                assert costs[sid] == cost
+                assert scheds[sid] == sched
 
     def test_lone_session_group_fuses(self):
         """A single-session feed_many goes through the kernel: the
@@ -421,7 +426,7 @@ class TestBatchedTriggerReplay:
         w = 3.0
         masks = _drift_masks(width, 200, seed=3, phase=25)
         lanes = masks_to_lanes(masks, width)
-        hub = StreamHub(fused=True)
+        hub = StreamHub()
         sid = hub.open(
             RentOrBuyScheduler(w, alpha=1.0, memory=2), universe, w
         )
@@ -459,9 +464,7 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
+        fused_costs, fused_scheds, hub = _run_hub(fleet, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         total_installs = sum(len(s) for s in fused_scheds.values())

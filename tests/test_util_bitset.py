@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.packed import masks_to_u64, u64_to_mask
 from repro.util.bitset import (
     bit_count,
     bit_indices,
     mask_of,
-    masks_to_u64,
     popcount_u64,
     random_mask,
     symmetric_difference_size,
-    u64_to_mask,
 )
 
 

@@ -15,8 +15,8 @@ Three layers of pinning:
 * **served behavior** — a v1-only client completes the full
   open/feed/close/stats flow against a v2 server unchanged; v2 clients
   (raw, interned, deflated, pipelined) produce bit-identical costs to
-  the single-hub oracle over thread *and* process shard pools; epoch
-  drift and malformed binary frames earn error replies on a surviving
+  the single-hub oracle over a two-shard pool; epoch drift and
+  malformed binary frames earn error replies on a surviving
   connection.
 """
 
@@ -325,36 +325,6 @@ class TestMaskArena:
         with pytest.raises(KeyError, match="beyond epoch"):
             arena.rows(np.array([1], dtype=np.uint32))
 
-    def test_snapshot_and_extend_replica_sync(self):
-        source, replica = MaskArena(8), MaskArena(8)
-        source.intern_masks([1, 2, 3])
-        upto, rows = source.snapshot_since(0)
-        replica.extend_to(upto, rows)
-        source.intern_masks([4, 2, 5])
-        upto2, rows2 = source.snapshot_since(upto)
-        assert rows2.shape[0] == 2  # only the fresh rows ship
-        replica.extend_to(upto2, rows2)
-        assert replica.epoch == source.epoch == 5
-        assert replica.masks_for(range(5)) == source.masks_for(range(5))
-
-    def test_extend_overlap_skips_and_gap_rejected(self):
-        source, replica = MaskArena(8), MaskArena(8)
-        source.intern_masks([1, 2, 3, 4])
-        upto, rows = source.snapshot_since(0)
-        # Fork-style overlap: replica already holds a prefix, so the
-        # delta's first two rows must be skipped, not duplicated.
-        replica.intern_masks([1, 2])
-        replica.extend_to(upto, rows)
-        assert replica.epoch == 4
-        assert replica.masks_for(range(4)) == (1, 2, 3, 4)
-        # Stale delta is a no-op.
-        replica.extend_to(upto, rows)
-        assert replica.epoch == 4
-        # A delta starting beyond the replica's epoch is a hard error.
-        gappy = MaskArena(8)
-        with pytest.raises(ValueError, match="arena gap"):
-            gappy.extend_to(6, rows)
-
     def test_registry_is_per_width(self):
         assert arena_for(8) is arena_for(8)
         assert arena_for(8) is not arena_for(16)
@@ -390,15 +360,13 @@ def oracle_cost() -> float:
 
 
 class TestServedProtocolV2:
-    @pytest.mark.parametrize("procs", [False, True])
     @pytest.mark.parametrize(
         "proto,deflate", [("json", None), ("bin", False), ("bin", True)]
     )
     def test_costs_bit_identical_across_protocols(
-        self, procs, proto, deflate, oracle_cost
+        self, proto, deflate, oracle_cost
     ):
-        config = ServeConfig(shards=2, shard_procs=procs)
-        with ServerThread(config) as (host, port):
+        with ServerThread(ServeConfig(shards=2)) as (host, port):
             with ServeClient(
                 host, port, proto=proto, deflate=deflate
             ) as client:
