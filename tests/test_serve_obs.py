@@ -36,16 +36,26 @@ def _scheduler(s: int):
     )
 
 
-def _drive(sink, traces, universe, *, chunk=60):
-    """Open/feed/finish the same fleet on a hub or a pool."""
+def _drive(sink, traces, universe, *, chunk=60, per_shard=False):
+    """Open/feed/finish the same fleet on a hub or a pool.
+
+    ``per_shard`` feeds a pool one :meth:`ShardPool.feed_shard` call per
+    shard (the server's drain path) instead of one ``feed_many`` cycle.
+    """
     for s, (sid, masks) in enumerate(traces.items()):
         sink.open(_scheduler(s), universe, W, session_id=sid)
     longest = max(len(m) for m in traces.values())
     pos = 0
     while pos < longest:
-        sink.feed_many(
-            {sid: m[pos : pos + chunk] for sid, m in traces.items()}
-        )
+        cycle = {sid: m[pos : pos + chunk] for sid, m in traces.items()}
+        if per_shard:
+            by_shard: dict[int, dict] = {}
+            for sid, masks in cycle.items():
+                by_shard.setdefault(sink.shard_of(sid), {})[sid] = masks
+            for shard, chunks in by_shard.items():
+                sink.feed_shard(shard, chunks)
+        else:
+            sink.feed_many(cycle)
         pos += chunk
     sink.finish_all()
 
@@ -70,11 +80,15 @@ class TestHistogramBitIdentity:
             for name in DETERMINISTIC_FAMILIES
         }
 
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_pool_aggregates_bit_identical(self, traces, oracle, shards):
+    @pytest.mark.parametrize(
+        ("shards", "per_shard"), [(1, False), (3, False), (3, True), (2, True)]
+    )
+    def test_pool_aggregates_bit_identical(
+        self, traces, oracle, shards, per_shard
+    ):
         universe = SwitchUniverse.of_size(WIDTH)
         with ShardPool(shards) as pool:
-            _drive(pool, traces, universe)
+            _drive(pool, traces, universe, per_shard=per_shard)
             merged = pool.merged_histograms()
         for name in DETERMINISTIC_FAMILIES:
             got = merged[name].aggregate()

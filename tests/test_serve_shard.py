@@ -48,8 +48,13 @@ def fleet():
 
 
 class TestPlacementIndependence:
-    @pytest.mark.parametrize("shards", [1, 3, 5])
-    def test_pool_equals_single_hub(self, fleet, shards):
+    @pytest.mark.parametrize(
+        ("shards", "per_shard"),
+        [(1, False), (3, False), (5, False), (3, True)],
+    )
+    def test_pool_equals_single_hub(self, fleet, shards, per_shard):
+        """``per_shard`` drives one :meth:`ShardPool.feed_shard` call per
+        shard, the server's drain path, instead of ``feed_many``."""
         universe, traces, oracle = fleet
         pool = ShardPool(shards)
         try:
@@ -62,7 +67,16 @@ class TestPlacementIndependence:
                     sid: masks_to_lanes(masks[pos : pos + 50], WIDTH)
                     for sid, masks in traces.items()
                 }
-                out = pool.feed_many(chunks)
+                if per_shard:
+                    by_shard: dict[int, dict] = {}
+                    for sid, lanes in chunks.items():
+                        shard = pool.shard_of(sid)
+                        by_shard.setdefault(shard, {})[sid] = lanes
+                    out = {}
+                    for shard, shard_chunks in by_shard.items():
+                        out.update(pool.feed_shard(shard, shard_chunks))
+                else:
+                    out = pool.feed_many(chunks)
                 assert set(out) == set(traces)
                 pos += 50
             runs = pool.finish_all()

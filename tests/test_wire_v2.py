@@ -23,6 +23,7 @@ Three layers of pinning:
 from __future__ import annotations
 
 import pathlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -360,13 +361,17 @@ def oracle_cost() -> float:
 
 
 class TestServedProtocolV2:
+    @pytest.mark.parametrize("concurrent", [False, True])
     @pytest.mark.parametrize(
         "proto,deflate", [("json", None), ("bin", False), ("bin", True)]
     )
     def test_costs_bit_identical_across_protocols(
-        self, proto, deflate, oracle_cost
+        self, concurrent, proto, deflate, oracle_cost
     ):
-        with ServerThread(ServeConfig(shards=2)) as (host, port):
+        """``concurrent`` runs two connections at once, so both shards'
+        drain queues are fed from separate client threads."""
+
+        def serve_one(host, port):
             with ServeClient(
                 host, port, proto=proto, deflate=deflate
             ) as client:
@@ -374,7 +379,19 @@ class TestServedProtocolV2:
                 assert client.proto == proto
                 for lo in range(0, len(TRACE), 45):
                     client.feed(sid, TRACE[lo : lo + 45])
-                assert client.close_session(sid).cost == oracle_cost
+                return client.close_session(sid).cost
+
+        with ServerThread(ServeConfig(shards=2)) as (host, port):
+            if concurrent:
+                with ThreadPoolExecutor(max_workers=2) as executor:
+                    futures = [
+                        executor.submit(serve_one, host, port)
+                        for _ in range(2)
+                    ]
+                    costs = [f.result(timeout=60) for f in futures]
+            else:
+                costs = [serve_one(host, port)]
+        assert costs == [oracle_cost] * len(costs)
 
     def test_v1_client_full_flow_against_v2_server(self):
         """A pre-v2 client (no proto field, JSON frames only) must see
