@@ -12,11 +12,17 @@ representation buys and proves it changes speed, never answers:
   across (m, n, |U|) cells *including universes beyond 64 switches*
   (2 and 3 lanes), asserting bit-identical costs and a ≥5× speedup on
   the E14-style acceptance cell (m=8, n=200);
+* the GA-shape cell — the population size the ``auto`` solver's GA
+  scores every generation (P = 48) on the batch mix's shapes (m 2–4,
+  n 12/24), timed per ``population_cost`` call: at this size per-call
+  NumPy dispatch, not lane arithmetic, sets the cost, which is what the
+  one-shot segmented block-union sweep removes;
 * the variant sweep — changeover (with per-task fixed costs) and the
   public-global pseudo-row, the two configurations the pre-packed
   kernel could not express, are spot-checked for bit-identity as well.
 """
 
+import statistics
 import time
 
 from repro.analysis.sweeps import make_instance
@@ -100,6 +106,43 @@ def test_bench_packed_vs_scalar(benchmark, smoke):
         title=f"E15: packed vs scalar cost evaluation ({P}-schedule batches)",
     ))
     assert speedups[TARGET_CELL] >= min_speedup
+
+
+def test_bench_packed_ga_shape(benchmark, smoke):
+    """µs per ``population_cost`` call at the GA's population size."""
+    P, spt = 48, 6
+    calls = 50 if smoke else 400
+    rows = []
+    for m in (2, 3, 4):
+        for n in (12, 24):
+            system, seqs = make_instance(m, n, spt, seed=m * 100 + n)
+            packed = PackedProblem.compile(system, seqs)
+            pop = _population(m, n, P, seed=n)
+            vector = packed.population_cost(pop)
+            assert [float(x) for x in vector] == _scalar_costs(
+                system, seqs, pop
+            )
+            samples = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                for _ in range(calls // 5):
+                    packed.population_cost(pop)
+                samples.append((time.perf_counter() - t0) / (calls // 5))
+            rows.append([m, n, P, round(1e6 * statistics.median(samples), 1)])
+
+    system, seqs = make_instance(4, 24, spt, seed=424)
+    packed = PackedProblem.compile(system, seqs)
+    pop = _population(4, 24, P, seed=24)
+    benchmark.pedantic(
+        lambda: packed.population_cost(pop), iterations=1, rounds=1
+    )
+
+    print()
+    print(format_table(
+        ["m", "n", "P", "packed µs/call"],
+        rows,
+        title="E15: GA-shape population_cost (6 switches/task)",
+    ))
 
 
 def test_bench_packed_variants_bit_identical(benchmark, smoke):

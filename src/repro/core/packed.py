@@ -13,11 +13,14 @@ that replaces the private kernels:
   silently degrading to scalar code;
 * :class:`PackedProblem` compiles a :class:`~repro.core.task.TaskSystem`
   plus per-task requirement sequences into an ``(m, n, L)`` matrix and
-  evaluates whole schedules — or whole populations of schedules — with
-  NumPy sweeps + SWAR popcounts.  Window unions, popcounts and the
-  symmetric differences of the changeover variant are all expressible,
-  which is what unlocks the GA's batched changeover and public-global
-  paths;
+  evaluates whole schedules — or whole populations of schedules — in a
+  fixed number of NumPy calls, independent of ``n``: one segmented
+  :func:`numpy.bitwise_or.reduceat` over the population's flattened
+  (task-major) requirement rows yields every block union at once, each
+  block is popcounted once, and a cumulative block id maps the results
+  back to steps.  Block unions, popcounts and the symmetric differences of the
+  changeover variant are all expressible, which is what unlocks the
+  GA's batched changeover and public-global paths;
 * :class:`PackedSequence` is the single-task (m = 1) counterpart used
   by the Section 2 cost-model fast paths;
 * :class:`PackedWindows` is an O(n log n) sparse table answering
@@ -34,12 +37,16 @@ that replaces the private kernels:
 **Bit-identity contract.**  The scalar int-mask implementations
 (:func:`repro.core.sync_cost.sync_switch_cost` and friends) remain the
 correctness oracle; every evaluator here reproduces their arithmetic
-*operation by operation* — same float-summation order (task-sequential
-sums accumulate task by task, the grand total re-sums per-step totals
-left to right), same ``max``/``sum`` choices — so packed costs are
-bit-identical to the reference, not approximately equal.  The
-equivalence is enforced by a randomized property suite across universe
-sizes that cross the 64/128-bit lane boundaries
+*operation by operation* — same float-summation order, same
+``max``/``sum`` choices — so packed costs are bit-identical to the
+reference, not approximately equal.  Unions and popcounts are integer
+work, exact in any order.  Task-sequential hyperreconfiguration sums
+accumulate task by task, and the grand total is one
+:func:`numpy.add.accumulate` over the per-step totals: a strictly
+left-to-right running sum, the reference's order (``add.reduce`` would
+be free to sum pairwise and is not used).  The equivalence is enforced
+by a randomized property suite across universe sizes that cross the
+64/128-bit lane boundaries plus segmented-sweep edge cases
 (``tests/test_packed.py``) and re-measured by benchmark E15.
 """
 
@@ -66,8 +73,6 @@ __all__ = [
     "masks_to_u64",
     "u64_to_mask",
     "pack_requirements",
-    "pack_mask_lanes",
-    "population_switch_cost",
     "PackedEvaluation",
     "PackedProblem",
     "PackedPublic",
@@ -395,31 +400,39 @@ class PackedProblem:
 
     # -- sweeps --------------------------------------------------------------
 
-    def _sweep(self, pop: np.ndarray, keep_unions: bool):
-        """Block-union sweeps: ``(sizes (P,m,n), unions (P,m,n,L)|None)``.
+    def _sweep(self, pop_t: np.ndarray, keep_unions: bool):
+        """Block-union sweep of a task-major ``(m, P, n)`` population:
+        ``(sizes (m,P,n), unions (m,P,n,L)|None)``.
 
-        Backward pass accumulates suffix unions up to each block end,
-        forward pass holds the union from each block start — the
-        vectorized form of
+        One segmented reduction over the whole population, with no
+        per-step loop — the vectorized form of
         :meth:`~repro.core.schedule.MultiTaskSchedule.block_union_masks`.
+        The population is flattened into ``m·P·n`` requirement rows in
+        step order; every set indicator opens a block, and column 0 is
+        always set (:meth:`_validate_population`), so each task row
+        opens a fresh block and no block spans two rows.  A single
+        :func:`numpy.bitwise_or.reduceat` at the block starts yields
+        every block union, each block is popcounted once, and
+        ``cumsum(flat) - 1`` maps every step back to its block.
+
+        The layout is task-major so that the per-step reductions over
+        tasks in :meth:`_evaluate` (``max``/``any`` of the parallel
+        upload modes) combine m large contiguous slices instead of
+        reducing a short middle axis.
         """
-        P, m, n = pop.shape
+        m, P, n = pop_t.shape
         L = self.lane_count
-        req = self.lanes
-        per_step = np.empty((P, m, n, L), dtype=np.uint64)
-        acc = np.zeros((P, m, L), dtype=np.uint64)
-        for i in range(n - 1, -1, -1):
-            acc = acc | req[None, :, i, :]
-            per_step[:, :, i, :] = acc
-            acc = np.where(pop[:, :, i, None], _U64_ZERO, acc)
-        unions = np.empty((P, m, n, L), dtype=np.uint64) if keep_unions else None
-        sizes = np.empty((P, m, n), dtype=np.int64)
-        cur = np.zeros((P, m, L), dtype=np.uint64)
-        for i in range(n):
-            cur = np.where(pop[:, :, i, None], per_step[:, :, i, :], cur)
-            if keep_unions:
-                unions[:, :, i, :] = cur
-            sizes[:, :, i] = popcount_u64(cur).sum(axis=2, dtype=np.int64)
+        flat = pop_t.reshape(-1)
+        rows = np.broadcast_to(self.lanes[:, None], (m, P, n, L)).reshape(-1, L)
+        blocks = np.bitwise_or.reduceat(rows, np.flatnonzero(flat), axis=0)
+        block_sizes = popcount_u64(blocks).sum(axis=1, dtype=np.int64)
+        # In place: a fresh cumsum output of an exhaustive chunk's size
+        # costs more in page faults than the scan itself.
+        bid = flat.astype(np.intp)
+        np.cumsum(bid, out=bid)
+        bid -= 1
+        sizes = block_sizes[bid].reshape(m, P, n)
+        unions = blocks[bid].reshape(m, P, n, L) if keep_unions else None
         return sizes, unions
 
     def block_union_lanes(self, pop) -> np.ndarray:
@@ -427,8 +440,9 @@ class PackedProblem:
         ``(m, n)`` schedule, returned with a leading axis of 1)."""
         pop = self._coerce_population(pop)
         self._validate_population(pop)
-        _, unions = self._sweep(pop, keep_unions=True)
-        return unions
+        pop_t = np.ascontiguousarray(pop.transpose(1, 0, 2))
+        _, unions = self._sweep(pop_t, keep_unions=True)
+        return np.ascontiguousarray(unions.transpose(1, 0, 2, 3))
 
     def block_union_masks(self, rows) -> list[list[int]]:
         """Int-mask block unions of one schedule (oracle encoding)."""
@@ -465,16 +479,17 @@ class PackedProblem:
         pop = self._coerce_population(pop)
         self._validate_population(pop)
         P, m, n = pop.shape
+        pop_t = np.ascontiguousarray(pop.transpose(1, 0, 2))
         keep_unions = need_unions or changeover
-        sizes, unions = self._sweep(pop, keep_unions)
+        sizes, unions = self._sweep(pop_t, keep_unions)
 
         # --- reconfiguration term (ints: any summation order is exact) ---
         if self.reconf_parallel:
-            reconf = sizes.max(axis=1).astype(np.float64)
+            reconf = sizes.max(axis=0).astype(np.float64)
             if pub is not None:
                 reconf = np.maximum(reconf, pub.sizes_f[None, :])
         else:
-            reconf = sizes.sum(axis=1).astype(np.float64)
+            reconf = sizes.sum(axis=0).astype(np.float64)
             if pub is not None:
                 reconf = reconf + pub.sizes_f[None, :]
 
@@ -487,12 +502,12 @@ class PackedProblem:
             diff = popcount_u64(unions ^ prev).sum(axis=3, dtype=np.int64)
             vals = diff.astype(np.float64)
             if cfix is not None:
-                vals = cfix[None, :, None] + vals
+                vals = cfix[:, None, None] + vals
         else:
-            vals = np.broadcast_to(self.v[None, :, None], (P, m, n))
+            vals = self.v[:, None, None]
         if self.hyper_parallel:
-            hyper = np.where(pop, vals, -np.inf).max(axis=1)
-            participates = pop.any(axis=1)
+            hyper = np.where(pop_t, vals, -np.inf).max(axis=0)
+            participates = pop_t.any(axis=0)
             if pub is not None:
                 hyper = np.where(
                     pub.hyper[None, :], np.maximum(hyper, pub.v), hyper
@@ -505,17 +520,20 @@ class PackedProblem:
             # for the model's non-negative costs), public row last.
             hyper = np.zeros((P, n), dtype=np.float64)
             for j in range(m):
-                hyper = hyper + np.where(pop[:, j, :], vals[:, j, :], 0.0)
+                hyper = hyper + np.where(pop_t[j], vals[j], 0.0)
             if pub is not None:
                 hyper = hyper + np.where(pub.hyper[None, :], pub.v, 0.0)
 
         step_total = hyper + reconf
-        # Grand total in the reference's order: left-to-right over steps,
-        # then w added on the left — bit-identical to
+        # Grand total in the reference's order: ``add.accumulate`` is a
+        # strictly left-to-right running sum over steps (unlike
+        # ``add.reduce``, which may sum pairwise), then w is added on
+        # the left — bit-identical to
         # ``float(w + sum(s.total for s in steps))``.
-        totals = np.zeros(P, dtype=np.float64)
-        for i in range(n):
-            totals = totals + step_total[:, i]
+        if n:
+            totals = np.add.accumulate(step_total, axis=1)[:, -1]
+        else:
+            totals = np.zeros(P, dtype=np.float64)
         totals = float(w) + totals
         return totals, hyper, reconf, sizes, unions
 
@@ -585,8 +603,8 @@ class PackedProblem:
             cost=float(totals[0]),
             step_hyper=hyper[0],
             step_reconf=reconf[0],
-            sizes=sizes[0],
-            union_lanes=unions[0],
+            sizes=sizes[:, 0],
+            union_lanes=unions[:, 0],
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -1123,44 +1141,3 @@ class PackedStream:
             f"PackedStream(n={self.n}, width={self.width}, "
             f"history={self.history})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Legacy kernel entry points (PR 2 public names)
-# ---------------------------------------------------------------------------
-
-
-def pack_mask_lanes(seqs: Sequence) -> np.ndarray:
-    """Legacy ``(L, m, n)`` lane layout of :func:`pack_requirements`.
-
-    Kept for PR-2 callers (``repro.core.delta`` re-exports it); new code
-    should use :class:`PackedProblem` / :func:`pack_requirements`.
-    """
-    return np.ascontiguousarray(np.moveaxis(pack_requirements(seqs), 2, 0))
-
-
-def population_switch_cost(
-    pop: np.ndarray,
-    lanes: np.ndarray,
-    v: np.ndarray,
-    *,
-    hyper_parallel: bool = True,
-    reconf_parallel: bool = True,
-) -> np.ndarray:
-    """Legacy batched-kernel entry point over ``(L, m, n)`` lanes.
-
-    Delegates to :class:`PackedProblem`; in the move it *gained* strict
-    bit-identity with the reference cost (the old private kernel summed
-    per-step terms in a different float order and was only equal up to
-    rounding).
-    """
-    req = np.ascontiguousarray(
-        np.moveaxis(np.asarray(lanes, dtype=np.uint64), 0, 2)
-    )
-    problem = PackedProblem(
-        req,
-        np.asarray(v, dtype=np.float64),
-        hyper_parallel=hyper_parallel,
-        reconf_parallel=reconf_parallel,
-    )
-    return problem.population_cost(np.asarray(pop, dtype=bool))

@@ -16,6 +16,7 @@ configuration bits of a concrete architecture (e.g. SHyRA) legible.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 
 from repro.util.bitset import bit_count, bit_indices, mask_of
 
@@ -57,9 +58,19 @@ class SwitchUniverse:
 
     @classmethod
     def of_size(cls, n: int, prefix: str = "x") -> "SwitchUniverse":
-        """Anonymous universe ``{prefix}0 … {prefix}{n-1}`` (paper's X)."""
+        """Anonymous universe ``{prefix}0 … {prefix}{n-1}`` (paper's X).
+
+        Universes are immutable and compare by names, so the plain class
+        hands out one shared instance per ``(n, prefix)`` from a bounded
+        cache instead of rebuilding the names and index on every call
+        (request generation and every serve-session ``open`` ask for
+        the same few widths over and over).  Subclasses get a fresh
+        instance.
+        """
         if n <= 0:
             raise ValueError("universe size must be positive")
+        if cls is SwitchUniverse:
+            return _anonymous_universe(n, prefix)
         return cls([f"{prefix}{i}" for i in range(n)])
 
     # -- introspection ----------------------------------------------------
@@ -114,6 +125,11 @@ class SwitchUniverse:
 
     def names_from_mask(self, mask: int) -> tuple[str, ...]:
         return tuple(self._names[i] for i in bit_indices(mask))
+
+
+@lru_cache(maxsize=64)
+def _anonymous_universe(n: int, prefix: str) -> SwitchUniverse:
+    return SwitchUniverse([f"{prefix}{i}" for i in range(n)])
 
 
 class SwitchSet:

@@ -11,15 +11,14 @@ correctness oracle.  These properties assert the two are *bit-identical*
 * the changeover variant (with per-task fixed costs) and the
   public-global pseudo-row,
 
-plus the legacy ``(L, m, n)`` population-kernel layout and the engine's
-compile-once behaviour.
+plus edge cases of the segmented population sweep, pinned ``auto``
+answers and GA trajectories, and the engine's compile-once behaviour.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import packed as packed_mod
 from repro.core.context import RequirementSequence
 from repro.core.cost_single import switch_cost, switch_cost_changeover
 from repro.core.delta import make_evaluator
@@ -326,36 +325,185 @@ class TestPackedSequenceAndWindows:
                 ]
 
 
-class TestCompatibilityAliases:
-    """The population kernel keeps its legacy ``(L, m, n)`` lane
-    layout and scores bit-identically to the scalar cost."""
+def _random_instance(rng, width, m, n):
+    universe = SwitchUniverse.of_size(width)
+    sizes = [width // m + (1 if k < width % m else 0) for k in range(m)]
+    system = TaskSystem.from_contiguous(universe, sizes)
+    seqs = [
+        RequirementSequence(
+            universe,
+            [
+                int.from_bytes(rng.bytes(-(-width // 8)), "little")
+                & universe.full_mask
+                for _ in range(n)
+            ],
+        )
+        for _ in range(m)
+    ]
+    return system, seqs
 
-    def test_legacy_kernel_layout_and_values(self):
-        universe = SwitchUniverse.of_size(70)
-        system = TaskSystem.from_contiguous(universe, [35, 35])
-        rng = make_rng(9)
-        n = 6
-        seqs = [
-            RequirementSequence(
-                universe,
+
+def _edge_population(rng, m, n, P):
+    """``P`` random chromosomes plus the two extreme rows: every step a
+    hyperreconfiguration, and only the mandatory column 0."""
+    pop = rng.random((P, m, n)) < 0.3
+    pop[:, :, 0] = True
+    every = np.ones((1, m, n), dtype=bool)
+    first_only = np.zeros((1, m, n), dtype=bool)
+    first_only[:, :, 0] = True
+    return np.concatenate([pop, every, first_only])
+
+
+class TestSegmentedKernel:
+    """The one-shot segmented block-union sweep of :class:`PackedProblem`
+    against the scalar oracle on the shapes where a segmented reduction
+    is easiest to get wrong: single steps, single chromosomes, blocks
+    spanning a whole row, one block per step, and lane boundaries."""
+
+    def _check(self, system, seqs, pop, model, **kwargs):
+        packed = PackedProblem.compile(system, seqs, model)
+        costs = packed.population_cost(pop, **kwargs)
+        unions = packed.block_union_lanes(pop)
+        assert costs.shape == (len(pop),)
+        for k, chrom in enumerate(pop):
+            schedule = MultiTaskSchedule(chrom.tolist())
+            reference = sync_switch_cost(system, seqs, schedule, model, **kwargs)
+            assert costs[k] == reference
+            oracle_unions = schedule.block_union_masks(seqs)
+            assert lanes_to_masks(unions[k]) == oracle_unions
+            evaluation = packed.evaluate_rows(chrom, **kwargs)
+            assert evaluation.cost == reference
+            assert evaluation.union_masks() == oracle_unions
+            assert evaluation.sizes.tolist() == [
+                [mask.bit_count() for mask in row] for row in oracle_unions
+            ]
+            steps = sync_cost_breakdown(system, seqs, schedule, model, **kwargs)
+            assert evaluation.step_hyper.tolist() == [s.hyper for s in steps]
+            assert evaluation.step_reconf.tolist() == [s.reconfig for s in steps]
+
+    # 70 switches = 2 lanes with a partly used top lane.
+    @pytest.mark.parametrize("width", [63, 64, 65, 70, 129])
+    def test_lane_boundary_widths_all_variants(self, width):
+        rng = make_rng(width)
+        m, n = 3, 7
+        system, seqs = _random_instance(rng, width, m, n)
+        pop = _edge_population(rng, m, n, P=5)
+        public = PublicGlobalPlan(
+            seq=RequirementSequence(
+                system.universe,
                 [
-                    int.from_bytes(rng.bytes(8), "little") & universe.full_mask
+                    int.from_bytes(rng.bytes(-(-width // 8)), "little")
+                    & system.universe.full_mask
                     for _ in range(n)
                 ],
-            )
-            for _ in range(2)
-        ]
-        lanes = packed_mod.pack_mask_lanes(seqs)
-        assert lanes.shape == (2, 2, n)  # legacy (L, m, n) orientation
-        pop = rng.random((4, 2, n)) < 0.4
-        pop[:, :, 0] = True
-        costs = packed_mod.population_switch_cost(
-            pop, lanes, np.asarray(system.v)
+            ),
+            hyper_steps=(0, 3),
+            v=2.5,
         )
-        for k in range(4):
-            assert costs[k] == sync_switch_cost(
-                system, seqs, MultiTaskSchedule(pop[k].tolist())
-            )
+        cfix = (0.5, 1.25, 3.0)
+        variants = [
+            {},
+            {"w": 4.5},
+            {"changeover": True},
+            {"changeover": True, "changeover_fixed": cfix, "w": 1.5},
+            {"public": public, "w": 2.0},
+        ]
+        for model in ALL_MODELS:
+            for kwargs in variants:
+                self._check(system, seqs, pop, model, **kwargs)
+
+    def test_single_step_single_chromosome(self):
+        rng = make_rng(1)
+        for width in (5, 64, 65):
+            system, seqs = _random_instance(rng, width, 2, 1)
+            pop = np.ones((1, 2, 1), dtype=bool)
+            for model in ALL_MODELS:
+                self._check(system, seqs, pop, model)
+                self._check(
+                    system, seqs, pop, model,
+                    changeover=True, changeover_fixed=(1.0, 0.5),
+                )
+
+    def test_empty_population(self):
+        rng = make_rng(2)
+        system, seqs = _random_instance(rng, 10, 2, 4)
+        packed = PackedProblem.compile(system, seqs)
+        empty = np.zeros((0, 2, 4), dtype=bool)
+        assert packed.population_cost(empty).shape == (0,)
+        assert packed.block_union_lanes(empty).shape == (0, 2, 4, 1)
+
+
+#: ``solve_mt_auto`` on batch-solve-shaped ``make_instance`` requests:
+#: ``((m, n, kind, seed), solver, cost, hyper steps per task)``.  The
+#: expected values were recorded with the per-step loop kernel that the
+#: segmented sweep replaced; they pin every tier (exhaustive, exact DP,
+#: greedy + GA) to unchanged answers.
+AUTO_PINS = [
+    ((2, 8, "phased", 101), "mt_exhaustive", 36.0, ((0,), (0, 4))),
+    ((3, 8, "periodic", 102), "mt_exact", 42.0, ((0, 1, 6),) * 3),
+    ((2, 20, "bursty", 103), "auto[mt_greedy_merge]", 93.0,
+     ((0, 5, 7, 10, 14),) * 2),
+    ((2, 24, "markov", 104), "auto[mt_greedy_merge]", 60.0, ((0, 20),) * 2),
+    ((3, 13, "phased", 105), "auto[mt_greedy_merge]", 70.0,
+     ((0, 3, 6, 10),) * 3),
+    ((3, 23, "periodic", 106), "auto[mt_genetic]", 136.0,
+     ((0, 4, 8, 12, 14, 20), (0, 4, 8, 12, 14, 20),
+      (0, 3, 4, 8, 11, 12, 14, 20))),
+    ((4, 9, "bursty", 107), "auto[mt_greedy_merge]", 60.0, ((0,),) * 4),
+    ((4, 18, "markov", 108), "auto[mt_greedy_merge]", 69.0,
+     ((0, 3, 15),) * 4),
+]
+
+#: The GA candidate ``solve_mt_auto`` runs on the heuristic-tier pins
+#: (same parameters, seed 0): ``(cost, generations, first-generation
+#: best)``.  Generation counts and the starting best fix the trajectory,
+#: not just its end point.
+GA_PINS = {
+    (2, 20, "bursty", 103): (93.0, 80, 93.0),
+    (2, 24, "markov", 104): (60.0, 80, 60.0),
+    (3, 13, "phased", 105): (70.0, 80, 70.0),
+    (3, 23, "periodic", 106): (136.0, 166, 144.0),
+    (4, 9, "bursty", 107): (60.0, 80, 60.0),
+    (4, 18, "markov", 108): (69.0, 80, 69.0),
+}
+
+
+class TestAutoSolvePins:
+    @pytest.mark.parametrize(
+        "key, solver, cost, steps", AUTO_PINS, ids=lambda x: str(x)
+    )
+    def test_auto_answers_unchanged(self, key, solver, cost, steps):
+        from repro.analysis.sweeps import make_instance
+        from repro.solvers.auto import solve_mt_auto
+
+        m, n, kind, seed = key
+        system, seqs = make_instance(m, n, 6, kind=kind, seed=seed)
+        result = solve_mt_auto(system, seqs)
+        assert result.solver == solver
+        assert result.cost == cost
+        assert result.schedule == MultiTaskSchedule.from_hyper_steps(
+            m, n, steps
+        )
+
+    @pytest.mark.parametrize("key", sorted(GA_PINS), ids=lambda x: str(x))
+    def test_ga_trajectory_unchanged(self, key):
+        from repro.analysis.sweeps import make_instance
+        from repro.solvers.mt_genetic import GAParams, solve_mt_genetic
+
+        m, n, kind, seed = key
+        system, seqs = make_instance(m, n, 6, kind=kind, seed=seed)
+        result = solve_mt_genetic(
+            system,
+            seqs,
+            params=GAParams(
+                population_size=48, generations=200, stall_generations=80
+            ),
+            seed=0,
+        )
+        stats = result.stats
+        assert (
+            result.cost, stats["generations"], stats["best_history_first"]
+        ) == GA_PINS[key]
 
 
 class TestEngineCompileOnce:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.context import RequirementSequence
 from repro.core.cost_single import switch_cost
 from repro.core.machine import MachineModel, SyncMode, UploadMode
-from repro.core.packed import pack_mask_lanes, population_switch_cost
+from repro.core.packed import PackedProblem
 from repro.core.schedule import MultiTaskSchedule, SingleTaskSchedule
 from repro.core.sync_cost import sync_switch_cost
 from repro.core.switches import SwitchUniverse
@@ -110,7 +110,7 @@ class TestGAKernelAgreement:
     @given(st.data())
     def test_population_fitness_matches_reference(self, data):
         """The vectorized GA kernel must agree with sync_switch_cost on
-        arbitrary schedules, both upload modes."""
+        arbitrary schedules, both upload modes — bit-identically."""
         m = data.draw(st.integers(min_value=1, max_value=3))
         n = data.draw(st.integers(min_value=1, max_value=8))
         sizes = [data.draw(st.integers(min_value=1, max_value=2)) for _ in range(m)]
@@ -133,8 +133,6 @@ class TestGAKernelAgreement:
             ]
             pop_rows.append(rows)
         pop = np.array(pop_rows, dtype=bool)
-        lanes = pack_mask_lanes(seqs)
-        v = np.asarray(system.v)
         for hyper_par in (True, False):
             for reconf_par in (True, False):
                 model = MachineModel(
@@ -146,18 +144,13 @@ class TestGAKernelAgreement:
                     if reconf_par
                     else UploadMode.TASK_SEQUENTIAL,
                 )
-                fit = population_switch_cost(
-                    pop,
-                    lanes,
-                    v,
-                    hyper_parallel=hyper_par,
-                    reconf_parallel=reconf_par,
-                )
+                packed = PackedProblem.compile(system, seqs, model)
+                fit = packed.population_cost(pop)
                 for k, rows in enumerate(pop_rows):
                     expected = sync_switch_cost(
                         system, seqs, MultiTaskSchedule(rows), model
                     )
-                    assert fit[k] == pytest.approx(expected)
+                    assert fit[k] == expected
 
 
 class TestScheduleTransferBounds:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.switches import SwitchSet, SwitchUniverse
+from repro.core.switches import SwitchSet, SwitchUniverse, _anonymous_universe
 
 U = SwitchUniverse(["a", "b", "c", "d"])
 
@@ -16,6 +16,23 @@ class TestSwitchUniverse:
     def test_of_size(self):
         u = SwitchUniverse.of_size(3, prefix="s")
         assert u.names == ("s0", "s1", "s2")
+
+    def test_of_size_shares_one_instance_per_width(self):
+        assert SwitchUniverse.of_size(48) is SwitchUniverse.of_size(48)
+        assert SwitchUniverse.of_size(48) is not SwitchUniverse.of_size(48, "y")
+        assert SwitchUniverse.of_size(48) == SwitchUniverse(
+            [f"x{i}" for i in range(48)]
+        )
+        info = _anonymous_universe.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_of_size_on_subclass_builds_fresh_instances(self):
+        class Named(SwitchUniverse):
+            __slots__ = ()
+
+        u = Named.of_size(5)
+        assert type(u) is Named and u is not Named.of_size(5)
+        assert u == SwitchUniverse.of_size(5)
 
     def test_full_mask(self):
         assert U.full_mask == 0b1111
