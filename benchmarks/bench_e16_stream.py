@@ -425,6 +425,173 @@ def test_bench_stream_fused_hub(
     assert speedup >= min_speedup
 
 
+#: SHyRA-apps cell: group sizes around the ~13 sessions per sweep that
+#: ``repro serve`` sees on the apps traffic, and a large stack.
+APPS_SESSIONS = (13, 128)
+
+
+def _app_traces():
+    """The paper's six SHyRA applications' requirement masks (width 48),
+    on the register files the ``repro trace``/``repro stream`` CLI uses."""
+    from repro.cli import APPS
+    from repro.shyra.trace import run_and_trace
+
+    traces = []
+    for name in sorted(APPS):
+        build, registers = APPS[name]
+        trace = run_and_trace(
+            build(hold_unused=True), initial_registers=registers()
+        )
+        traces.append(list(trace.requirements.masks))
+    return traces, trace.requirements.universe
+
+
+def test_bench_stream_apps_handoff(benchmark, smoke, bench_artifact):
+    """Trigger-dense SHyRA app traffic with and without the resolver.
+
+    One ``StreamHub`` group of ``S`` live sessions, each replaying a
+    seeded app trace repeated 2-12 times, is fed in 64-step chunks
+    (ragged where a trace ends); a session that runs out is finished
+    and a fresh one opens in its place, the way ``repro serve`` churns
+    them.  Every cell runs twice: with the handoff disabled
+    (``HANDOFF_STEPS = 0``, the epoch kernel to the end) and at the
+    default crossover, where small or trigger-dense stacks finish in
+    the policy's Python-int resolver.  Both runs must produce the same
+    per-session costs, and every finished session of the default run
+    is checked against the scalar oracle.
+    """
+    from repro.solvers import online
+
+    traces, universe = _app_traces()
+    width = universe.size
+    w = float(width)
+    chunk = 64
+    reps = 2 if smoke else 3
+    default_handoff = online.HANDOFF_STEPS
+    policies = {
+        "rent_or_buy": lambda: RentOrBuyScheduler(w, alpha=1.0, memory=4),
+        "window": lambda: WindowScheduler(k=8),
+    }
+
+    def run(policy, sessions, sweeps):
+        """µs per fed step and the finished sessions' (masks, cost)."""
+        rng = make_rng([sessions, len(policy)])
+        hub = StreamHub(retain_runs=False)
+        live = {}
+        finished = []
+        opened = 0
+
+        def open_one():
+            nonlocal opened
+            masks = traces[int(rng.integers(len(traces)))] * int(
+                rng.integers(2, 13)
+            )
+            sid = hub.open(
+                policies[policy](), universe, w, session_id=f"s{opened}"
+            )
+            opened += 1
+            live[sid] = [masks, masks_to_lanes(masks, width), 0]
+
+        for _ in range(sessions):
+            open_one()
+        steps = 0
+        elapsed = 0.0
+        for _ in range(sweeps):
+            chunks = {
+                sid: lanes[pos:pos + chunk]
+                for sid, (_m, lanes, pos) in live.items()
+            }
+            t0 = time.perf_counter()
+            hub.feed_many(chunks)
+            elapsed += time.perf_counter() - t0
+            for sid, lanes in chunks.items():
+                steps += lanes.shape[0]
+                entry = live[sid]
+                entry[2] += lanes.shape[0]
+                if entry[2] == len(entry[0]):
+                    finished.append((entry[0], hub.finish(sid).cost))
+                    del live[sid]
+                    open_one()
+        return 1e6 * elapsed / steps, hub.metrics, finished
+
+    rows = []
+    trajectory = []
+    for policy in policies:
+        for sessions in APPS_SESSIONS:
+            sweeps = (40 if smoke else 150) if sessions < 100 else (
+                8 if smoke else 30
+            )
+            best = {}
+            results = {}
+            for _rep in range(reps):
+                for handoff in ("off", "default"):
+                    online.HANDOFF_STEPS = (
+                        0 if handoff == "off" else default_handoff
+                    )
+                    try:
+                        us, metrics, finished = run(policy, sessions, sweeps)
+                    finally:
+                        online.HANDOFF_STEPS = default_handoff
+                    if us < best.get(handoff, float("inf")):
+                        best[handoff] = us
+                        results[handoff] = (metrics, finished)
+            off_finished = results["off"][1]
+            on_metrics, on_finished = results["default"]
+            assert [c for _m, c in on_finished] == [
+                c for _m, c in off_finished
+            ]
+            for masks, cost in on_finished:
+                oracle = StreamSession(
+                    ScalarOnly(policies[policy]()), universe, w
+                )
+                for mask in masks:
+                    oracle.feed(mask)
+                assert oracle.cost == cost
+            epochs = {
+                handoff: results[handoff][0].stream_replay_epochs / sweeps
+                for handoff in best
+            }
+            for handoff in ("off", "default"):
+                trajectory.append({
+                    "traffic": "shyra_apps",
+                    "policy": policy,
+                    "sessions": sessions,
+                    "chunk": chunk,
+                    "handoff": handoff,
+                    "us_per_step": best[handoff],
+                    "epochs_per_sweep": epochs[handoff],
+                })
+            rows.append([
+                policy,
+                sessions,
+                round(best["off"], 2),
+                round(best["default"], 2),
+                f"{best['off'] / best['default']:.2f}×",
+                round(epochs["off"], 1),
+                round(epochs["default"], 1),
+                f"{on_metrics.stream_replay_triggers / on_metrics.stream_steps:.2f}",
+            ])
+            if sessions < 100:
+                # Small trigger-dense groups are what the handoff is for.
+                assert best["default"] < best["off"]
+
+    def once():
+        return run("window", APPS_SESSIONS[0], 2)[0]
+
+    benchmark.pedantic(once, iterations=1, rounds=1)
+
+    bench_artifact.record("e16", "apps_handoff", trajectory)
+    print()
+    print(format_table(
+        ["policy", "sessions", "handoff off µs/step",
+         "default µs/step", "gain", "epochs/sweep off",
+         "epochs/sweep default", "triggers/step"],
+        rows,
+        title=f"E16: SHyRA app traffic (width {width}, {chunk}-step ragged "
+              "chunks, session churn), Python-int resolver handoff",
+    ))
+
+
 def test_bench_scan_bounds_sweep(benchmark, smoke, bench_artifact):
     """Galloping-scan bound sweep — tune the fallback path with data.
 

@@ -103,16 +103,20 @@ def masks_to_lanes(masks: Iterable[int], width: int) -> np.ndarray:
     """Pack int bitmasks of a ``width``-bit universe into ``(n, L)`` lanes."""
     masks = list(masks)
     L = lane_count(width)
-    out = np.zeros((len(masks), L), dtype=np.uint64)
-    for i, mask in enumerate(masks):
+    for mask in masks:
         if mask < 0:
             raise ValueError("bitmask must be non-negative")
         if mask >> (LANE_BITS * L):
             raise ValueError(
                 f"mask {mask:#x} does not fit into {L} packed lane(s)"
             )
-        for lane in range(L):
-            out[i, lane] = (mask >> (LANE_BITS * lane)) & _LANE_MASK
+    out = np.empty((len(masks), L), dtype=np.uint64)
+    if L == 1:
+        out[:, 0] = masks
+        return out
+    for lane in range(L):
+        shift = LANE_BITS * lane
+        out[:, lane] = [(mask >> shift) & _LANE_MASK for mask in masks]
     return out
 
 
@@ -124,13 +128,15 @@ def lanes_to_masks(lanes: np.ndarray):
     """
     arr = np.asarray(lanes, dtype=np.uint64)
     L = arr.shape[-1]
-    flat = arr.reshape(-1, L).tolist()
-    masks = []
-    for row in flat:
-        mask = 0
-        for lane in range(L - 1, -1, -1):
-            mask = (mask << LANE_BITS) | row[lane]
-        masks.append(mask)
+    if L == 1:  # one lane: the lane value IS the mask
+        return arr[..., 0].tolist()
+    flat = arr.reshape(-1, L)
+    masks = flat[:, L - 1].tolist()
+    for lane in range(L - 2, -1, -1):
+        masks = [
+            (mask << LANE_BITS) | low
+            for mask, low in zip(masks, flat[:, lane].tolist())
+        ]
     if arr.ndim == 1:
         return masks[0]
     shape = arr.shape[:-1]
@@ -881,8 +887,12 @@ class PackedStream:
         count = min(count, self.n, self.history)
         if count == 0:
             return np.zeros((0, self._L), dtype=np.uint64)
-        idx = (self._ring_pos - count + np.arange(count)) % self.history
-        return self._ring[idx]
+        start = self._ring_pos - count
+        if start >= 0:
+            return self._ring[start : self._ring_pos].copy()
+        return np.concatenate(
+            (self._ring[start:], self._ring[: self._ring_pos])
+        )
 
     def window_union_lanes(self) -> np.ndarray:
         """Union of the last ``min(history, n)`` rows, in O(L).

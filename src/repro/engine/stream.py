@@ -292,11 +292,12 @@ class StreamSession:
 
         The cursor and stream state were advanced inside
         ``sweep_many`` — quiet sessions in its first epoch, triggering
-        ones through batched trigger replay — and the hub computed the
-        seeded cost cumsum for the whole group in one batched pass;
-        this just appends the requirement log, records the chunk's
-        installs and folds the totals in.  ``hyper_flags``/``sizes``
-        are read-only row views into the sweep's shared arrays, and
+        ones through trigger epochs or its Python-int resolver — and
+        the hub computed the seeded cost cumsum for the whole group in
+        one batched pass; this just appends the requirement log,
+        records the chunk's installs and folds the totals in.
+        ``hyper_flags``/``sizes`` are read-only row views into the
+        sweep's shared arrays, and
         ``hyper_steps``/``hyper_masks`` are this session's slice of the
         group's flat install records (chunk-relative steps, int
         masks)."""
@@ -548,13 +549,13 @@ class StreamHub:
         lane-packed arrays).  The hub groups compatible lane chunks —
         same cursor kind, lane width and history; chunk lengths may be
         ragged — and advances each group through the policy's
-        epoch-synchronous ``sweep_many`` kernel: quiet sessions
-        complete in the first struct-of-arrays epoch, and triggering
-        sessions stay stacked through batched trigger replay instead of
-        ejecting to per-session Python (bit-identical decisions either
-        way).  The call's wall time, aggregate step/hyper counts,
-        fused/fallback session counts and replay-epoch/trigger totals
-        land in the hub metrics.
+        ``sweep_many``: quiet sessions complete in the first
+        struct-of-arrays epoch, triggering ones in further trigger
+        epochs or, once an epoch serves too few steps to pay for
+        itself, in the policy's Python-int resolver (bit-identical
+        decisions either way).  The call's wall time, aggregate
+        step/hyper counts, fused/fallback session counts and
+        kernel-epoch/trigger totals land in the hub metrics.
         """
         sessions = {sid: self.session(sid) for sid in chunks}
         out: dict[str, StreamBatch] = {}
@@ -611,14 +612,15 @@ class StreamHub:
         the old equal-length grouping) share a sweep; history equality
         pins ``memory``/``k``, while ``w``/``alpha`` may vary inside a
         group (the sweep gathers them as vectors).  Every group member
-        completes inside the epoch-synchronous ``sweep_many`` kernel —
-        triggering sessions included — and the hub books the whole
-        group with one seeded cost cumsum and one flat installed-mask
-        conversion.  Only ineligible traffic — mask iterables, interned
-        chunks for the wrong universe, empty chunks, non-batched
-        cursors — takes the per-session path.  Returns
-        (fused, fallback, group sizes, replay epochs, triggers);
-        per-session batches land in ``out``.
+        completes inside one ``sweep_many`` call — its epoch kernel,
+        plus the Python-int resolver that finishes small or
+        trigger-dense stacks once an epoch serves too few steps — and
+        the hub books the whole group with one seeded cost cumsum and
+        one flat installed-mask conversion.  Only ineligible traffic —
+        mask iterables, interned chunks for the wrong universe, empty
+        chunks, non-batched cursors — takes the per-session path.
+        Returns (fused, fallback, group sizes, kernel epochs,
+        triggers); per-session batches land in ``out``.
         """
         groups: dict[tuple, list[tuple[str, np.ndarray, object]]] = {}
         plain: list[str] = []

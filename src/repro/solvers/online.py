@@ -49,12 +49,21 @@ boundary): inside a chunk the batched cursor solves for whole
 next trigger (misfit or regret/cadence), then the working-set window is
 read off the packed history — so its cost is O(segments) NumPy sweeps
 instead of O(steps) Python calls.
+
+A serving hub advances many sessions at once through the batched
+cursors' ``sweep_many``: an epoch-synchronous NumPy kernel over the
+stacked chunks that pays about 25 array calls per trigger epoch, plus
+one Python-int resolver per policy that finishes trigger-dense or small
+stacks step by step once an epoch serves, or the stack still holds,
+fewer than :data:`HANDOFF_STEPS` live steps (see :class:`FusedSweep`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -151,12 +160,16 @@ class CursorBatch:
 class FusedSweep:
     """Result of a fused multi-cursor sweep over stacked chunks.
 
-    ``sweep_many`` is an epoch-synchronous resumable kernel: *every*
-    cursor in the stack completes its chunk here — quiet ones in the
-    first epoch, triggering ones through as many trigger epochs as the
-    densest chunk needs — so there is no per-session replay path left.
-    Cursor and stream state are committed on return; the caller only
-    books per-session accounting off the arrays below.
+    ``sweep_many`` completes *every* cursor's chunk in one call.  Its
+    epoch-synchronous resumable kernel serves quiet sessions in the
+    first epoch and triggering ones one trigger epoch at a time; once
+    an epoch serves, or the stack still holds, fewer than
+    :data:`HANDOFF_STEPS` live steps, the policy's Python-int resolver
+    finishes every still-active session
+    from the kernel's per-session state (the scalar cursor's step,
+    resumed mid-chunk).  Cursor and stream state are committed on
+    return; the caller only books per-session accounting off the
+    arrays below.
 
     Attributes
     ----------
@@ -178,7 +191,8 @@ class FusedSweep:
         zero-padded to ``Cmax``; columns at or past a session's length
         are dead).
     epochs:
-        Trigger-epoch iterations the kernel ran for this stack.
+        Kernel epochs run for this stack; steps the resolver finished
+        add none (``installed`` still holds every install).
     """
 
     hyper: np.ndarray
@@ -266,68 +280,92 @@ def _assemble_installs(
             np.zeros((0, L), dtype=np.uint64),
             np.zeros(S, dtype=np.int64),
         )
-    sess = np.concatenate(inst_sess)
-    steps = np.concatenate(inst_step)
-    lanes = np.concatenate(inst_lanes, axis=0)
-    order = np.lexsort((steps, sess))
+    if len(inst_sess) == 1:
+        # One epoch (one install per row) or one resolver pass: the
+        # record is already in session-major step order.
+        sess, lanes = inst_sess[0], inst_lanes[0]
+    else:
+        sess = np.concatenate(inst_sess)
+        order = np.lexsort((np.concatenate(inst_step), sess))
+        lanes = np.concatenate(inst_lanes, axis=0)[order]
     counts = np.bincount(sess, minlength=S).astype(np.int64)
-    return lanes[order], counts
+    return lanes, counts
 
 
-#: Stack-size crossover for ``sweep_many``: groups at or below this
-#: many sessions are served by one scalar-batched ``step_many`` call
-#: per cursor instead of the epoch kernel.  The kernel's win is
-#: amortizing per-epoch NumPy spans over many rows; below the
-#: crossover (measured on the E16 hub workload: parity near S=16,
-#: ~2-3× loss by S≤4) the short per-cursor loop IS the
-#: vectorization-optimal plan.  Decisions are bit-identical either
-#: way; the equivalence suite pins the constant to 0 to keep the
-#: epoch kernel under adversarial coverage at every fleet size.
-SMALL_STACK_SESSIONS = 8
+#: Handoff crossover for ``sweep_many``: once a kernel epoch serves
+#: fewer than this many live steps (summed over the stack), or fewer
+#: than this many are left to serve, every still-active session is
+#: finished by the policy's Python-int resolver instead of further
+#: epochs.  A kernel epoch costs about 25 NumPy calls however few rows
+#: it advances, while the resolver costs a fraction of a microsecond
+#: per step; calm stacks advance thousands of steps per epoch and never
+#: hand off, trigger-dense stacks hand off after their first epoch and
+#: stacks smaller than this skip the kernel.  Measured on SHyRA app
+#: traces (width 48, 64-step ragged chunks, S = 1..128) and drifting
+#: width-96 traffic (S = 13, 128): from 128 up every app-trace stack
+#: beat the kernel alone, and from 192 up 128-session cadence-8 window
+#: stacks on drifting traffic hand off and lose.  Decisions are
+#: bit-identical either way; the equivalence suite pins it to 0 to
+#: keep the epoch kernel under adversarial coverage.
+HANDOFF_STEPS = 128
 
 
-def _sweep_small(cursors, block: np.ndarray, lengths) -> FusedSweep:
-    """Serve a small stack with one ``step_many`` call per cursor.
-
-    Same decisions as the epoch kernel, repackaged as a
-    :class:`FusedSweep`; installs are already session-major and in
-    step order.  The densest cursor's install count stands in for the
-    epoch count — exactly what the kernel would have iterated.
-    """
-    S, Cmax, L = block.shape
-    lengths = _sweep_lengths(S, Cmax, lengths)
-    hyper = np.zeros((S, Cmax), dtype=bool)
-    sizes = np.zeros((S, Cmax), dtype=np.int64)
-    counts = np.zeros(S, dtype=np.int64)
-    installed = []
-    epochs = 0
-    for s, c in enumerate(cursors):
-        n = int(lengths[s])
-        batch = c.step_many(block[s, :n])
-        hyper[s, :n] = batch.hyper
-        sizes[s, :n] = batch.sizes
-        counts[s] = batch.installed.shape[0]
-        installed.append(batch.installed)
-        epochs = max(epochs, int(counts[s]))
-    hyper.setflags(write=False)
-    sizes.setflags(write=False)
-    return FusedSweep(
-        hyper=hyper,
-        sizes=sizes,
-        installed=np.concatenate(installed, axis=0)
-        if installed
-        else np.zeros((0, L), dtype=np.uint64),
-        installed_counts=counts,
-        lengths=lengths,
-        epochs=epochs,
+def _hand_off(epochs: int, advanced: int, remaining: int) -> bool:
+    """Handoff rule after ``epochs`` kernel epochs, the last of which
+    served ``advanced`` live steps, with ``remaining`` still to serve."""
+    return remaining < HANDOFF_STEPS or (
+        epochs > 0 and advanced < HANDOFF_STEPS
     )
+
+
+class _PreChunkHistory:
+    """Unions of a stream's last ``q`` pre-chunk rows, for a resolver.
+
+    A working-set window reaches into the stream only for triggers
+    nearer the chunk front than the window length, and a session's
+    first such trigger reaches furthest back: one suffix accumulate
+    over the rows it needs, built on first use, serves every later one,
+    and only the unions actually asked for become Python ints.
+    """
+
+    __slots__ = ("_stream", "_unions")
+
+    def __init__(self, stream: PackedStream):
+        self._stream = stream
+        self._unions = None
+
+    def union(self, q: int) -> int:
+        if self._unions is None:
+            tail = self._stream.tail_rows(q)
+            self._unions = np.bitwise_or.accumulate(tail[::-1], axis=0)
+        held = self._unions.shape[0]
+        # A stream younger than q steps clamps, as the scalar deques do.
+        return lanes_to_masks(self._unions[min(q, held) - 1]) if held else 0
+
+
+def _book_resolved(
+    resolved, rows, lengths, pos, hyper, sizes,
+    inst_sess: list, inst_step: list, inst_lanes: list,
+) -> None:
+    """Write a resolver's per-step sizes, hyper flags and installs back
+    into the kernel's arrays; the installs become one more record."""
+    step_sizes, inst_s, inst_t, inst_l = resolved
+    for s, sz in zip(rows.tolist(), step_sizes):
+        sizes[s, int(pos[s]) : int(lengths[s])] = sz
+    if inst_s:
+        sess = np.array(inst_s, dtype=np.intp)
+        step = np.array(inst_t, dtype=np.intp)
+        hyper[sess, step] = True
+        inst_sess.append(sess)
+        inst_step.append(step)
+        inst_lanes.append(inst_l)
 
 
 def _sweep_lengths(S: int, Cmax: int, lengths) -> np.ndarray:
     if lengths is None:
         return np.full(S, Cmax, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (S,) or (lengths < 1).any() or (lengths > Cmax).any():
+    if lengths.shape != (S,) or lengths.min() < 1 or lengths.max() > Cmax:
         raise ValueError("lengths must hold one value in [1, Cmax] per chunk")
     return lengths
 
@@ -382,6 +420,68 @@ def plan_with_cursor(cursor, seq: RequirementSequence) -> SingleTaskSchedule:
     return SingleTaskSchedule(
         n=n, hyper_steps=tuple(hyper_steps), explicit_masks=tuple(widened)
     )
+
+
+def _resolve_rent_or_buy(
+    cursors, block, rows, pos, lengths, n0, cur, cur_size, served, regret,
+    threshold,
+):
+    """Finish sessions ``rows`` of a rent-or-buy sweep on Python ints.
+
+    The loop body is :meth:`_RentOrBuyCursor.step`, resumed from each
+    session's kernel state (``pos``, ``cur``, ``cur_size``, ``served``,
+    ``regret``); the final state is written back into the kernel's
+    arrays.  Returns per-session step sizes from ``pos`` on, and the
+    installs as session and step lists plus ``(T, L)`` lanes.
+    """
+    H = cursors[0].memory - 1
+    reqs_of = lanes_to_masks(block[rows])
+    curs = lanes_to_masks(cur[rows])
+    servs = lanes_to_masks(served[rows])
+    step_sizes, inst_s, inst_t, inst_m = [], [], [], []
+    for r, s in enumerate(rows.tolist()):
+        reqs = reqs_of[r]
+        c, sv = curs[r], servs[r]
+        ncur = ~c
+        csz = int(cur_size[s])
+        rg = float(regret[s])
+        thr = float(threshold[s])
+        p = int(pos[s])
+        forced = 0 if p == 0 and n0[s] == 0 else -1
+        history = _PreChunkHistory(cursors[s].stream)
+        sz = []
+        for i in range(p, int(lengths[s])):
+            req = reqs[i]
+            must = req & ncur or i == forced
+            if not must:
+                u = sv | req
+                d = csz - u.bit_count()
+                must = rg + d > thr
+                if not must:
+                    sv = u
+                    rg += d
+                    sz.append(csz)
+                    continue
+            lo = i - H
+            c = reduce(or_, reqs[lo if lo > 0 else 0 : i + 1])
+            if lo < 0:
+                c |= history.union(-lo)
+            ncur = ~c
+            csz = c.bit_count()
+            sv = req
+            rg = 0.0
+            sz.append(csz)
+            inst_s.append(s)
+            inst_t.append(i)
+            inst_m.append(c)
+        step_sizes.append(sz)
+        curs[r], servs[r] = c, sv
+        cur_size[s] = csz
+        regret[s] = rg
+    width = cursors[0].stream.width
+    cur[rows] = masks_to_lanes(curs, width)
+    served[rows] = masks_to_lanes(servs, width)
+    return step_sizes, inst_s, inst_t, masks_to_lanes(inst_m, width)
 
 
 class _RentOrBuyCursor:
@@ -658,20 +758,27 @@ class _BatchedRentOrBuyCursor:
         near the chunk front), popcounts, served resets, regret
         resets.  Sessions with no trigger in the window
         bank their served union and regret and resume next epoch.  The
-        outer loop therefore runs once per *trigger epoch* (bounded by
-        the densest chunk), never per session × step.
+        outer loop therefore runs once per *trigger epoch*, never per
+        session × step.
+
+        An epoch costs about 25 array calls however few steps it
+        serves, so once one serves — or the stack still holds — fewer
+        than :data:`HANDOFF_STEPS` live steps (a trigger-dense or small
+        stack), every still-active session is handed to
+        :func:`_resolve_rent_or_buy` — :meth:`_RentOrBuyCursor.step` on
+        Python ints, resumed from the kernel's ``pos``/``cur``/
+        ``cur_size``/``served``/``regret`` — which finishes the chunk at
+        a fraction of a microsecond per step.  Calm stacks advance whole
+        chunks per epoch and never hand off.
 
         Exactness mirrors ``step_many``: the regret cumsum adds only
         integers (exactly representable in float64) to the carried
         float regret, so any summation order reproduces the scalar
         sequential accumulation bit for bit, and carried regret never
         exceeds the threshold, so masked prefix columns can never
-        trigger.  Cursor and stream state are committed on return —
-        there is nothing left to replay.
+        trigger.  Cursor and stream state are committed on return.
         """
         S, Cmax, L = block.shape
-        if S <= SMALL_STACK_SESSIONS:
-            return _sweep_small(cursors, block, lengths)
         lengths = _sweep_lengths(S, Cmax, lengths)
         memory = cursors[0].memory
         H = memory - 1
@@ -701,10 +808,21 @@ class _BatchedRentOrBuyCursor:
         scan_max = max(cursors[0].scan_max, scan_min)
         scan = scan_min
         zero = np.uint64(0)
-        epochs = 0
+        epochs = advanced = 0
+        total = remaining = int(lengths.sum())
         while True:
             a = np.flatnonzero(active)
             if a.size == 0:
+                break
+            if _hand_off(epochs, advanced, remaining):
+                resolved = _resolve_rent_or_buy(
+                    cursors, block, a, pos, lengths, n0, cur, cur_size,
+                    served, regret, threshold,
+                )
+                _book_resolved(
+                    resolved, a, lengths, pos, hyper, sizes,
+                    inst_sess, inst_step, inst_lanes,
+                )
                 break
             epochs += 1
             pa = pos[a]
@@ -805,6 +923,8 @@ class _BatchedRentOrBuyCursor:
                 scan = scan_min
             else:
                 scan = min(scan * 2, scan_max)
+            left = total - int(pos.sum())
+            advanced, remaining = remaining - left, left
         for s, c in enumerate(cursors):
             c._cur = cur[s]
             c._cur_size = int(cur_size[s])
@@ -894,6 +1014,51 @@ class RentOrBuyScheduler:
 
     def plan(self, seq: RequirementSequence) -> SingleTaskSchedule:
         return plan_with_cursor(self.cursor(), seq)
+
+
+def _resolve_window(cursors, block, rows, pos, lengths, n0, cur, cur_size):
+    """Finish sessions ``rows`` of a window sweep on Python ints.
+
+    The loop body is :meth:`_WindowCursor.step`, resumed from each
+    session's kernel state (``pos``, ``cur``, ``cur_size``; cadence
+    steps sit at global indices ``n0 + i``); returns what
+    :func:`_resolve_rent_or_buy` returns.
+    """
+    k = cursors[0].k
+    reqs_of = lanes_to_masks(block[rows])
+    curs = lanes_to_masks(cur[rows])
+    step_sizes, inst_s, inst_t, inst_m = [], [], [], []
+    for r, s in enumerate(rows.tolist()):
+        reqs = reqs_of[r]
+        c = curs[r]
+        ncur = ~c
+        csz = int(cur_size[s])
+        p = int(pos[s])
+        # First step from p on whose global index n0 + i is a multiple of k.
+        cadence = p + (-(int(n0[s]) + p)) % k
+        history = _PreChunkHistory(cursors[s].stream)
+        sz = []
+        for i in range(p, int(lengths[s])):
+            req = reqs[i]
+            if i == cadence or req & ncur:
+                if i == cadence:
+                    cadence += k
+                lo = i - k
+                c = reduce(or_, reqs[lo if lo > 0 else 0 : i + 1])
+                if lo < 0:
+                    c |= history.union(-lo)
+                ncur = ~c
+                csz = c.bit_count()
+                inst_s.append(s)
+                inst_t.append(i)
+                inst_m.append(c)
+            sz.append(csz)
+        step_sizes.append(sz)
+        curs[r] = c
+        cur_size[s] = csz
+    width = cursors[0].stream.width
+    cur[rows] = masks_to_lanes(curs, width)
+    return step_sizes, inst_s, inst_t, masks_to_lanes(inst_m, width)
 
 
 class _WindowCursor:
@@ -1007,12 +1172,14 @@ class _BatchedWindowCursor:
         resolves in one batched install pass (rolling ``k+1``-wide
         window unions gathered off the block and, for triggers nearer
         the front than ``k``, the pre-chunk stream history), and the
-        sweep resumes from per-session offsets; a cadence ``k < C``
-        triggers every epoch and still never leaves the kernel.
+        sweep resumes from per-session offsets.  Once an epoch serves —
+        or the stack still holds — fewer than :data:`HANDOFF_STEPS`
+        live steps, every still-active session is finished by
+        :func:`_resolve_window` —
+        :meth:`_WindowCursor.step` on Python ints, resumed from the
+        kernel's ``pos``/``cur``/``cur_size``.
         """
         S, Cmax, L = block.shape
-        if S <= SMALL_STACK_SESSIONS:
-            return _sweep_small(cursors, block, lengths)
         lengths = _sweep_lengths(S, Cmax, lengths)
         k = cursors[0].k
         cur = _stack_rows(cursors, "_cur", S, L)
@@ -1035,10 +1202,20 @@ class _BatchedWindowCursor:
         # scans would only touch columns a trigger resets anyway.
         scan = max(2 * k, 16)
         zero = np.uint64(0)
-        epochs = 0
+        epochs = advanced = 0
+        total = remaining = int(lengths.sum())
         while True:
             a = np.flatnonzero(active)
             if a.size == 0:
+                break
+            if _hand_off(epochs, advanced, remaining):
+                resolved = _resolve_window(
+                    cursors, block, a, pos, lengths, n0, cur, cur_size
+                )
+                _book_resolved(
+                    resolved, a, lengths, pos, hyper, sizes,
+                    inst_sess, inst_step, inst_lanes,
+                )
                 break
             epochs += 1
             pa = pos[a]
@@ -1099,6 +1276,8 @@ class _BatchedWindowCursor:
                 inst_lanes.append(est)
                 pos[rows] = t + 1
                 active[rows] = pos[rows] < lengths[rows]
+            left = total - int(pos.sum())
+            advanced, remaining = remaining - left, left
         for s, c in enumerate(cursors):
             c._cur = cur[s]
             c._cur_size = int(cur_size[s])

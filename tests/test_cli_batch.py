@@ -111,6 +111,33 @@ class TestStreamCommand:
         assert main(["stream", "parity", "--sessions", "0"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("policy", ["rent_or_buy", "window"])
+    def test_default_form_matches_scalar(self, capsys, policy, shards):
+        """`repro stream` in its default form — all six apps, four
+        sessions each — runs clean, and every session's steps, hyper
+        count and cost equal the `--scalar` oracle run's."""
+        from repro.cli import APPS
+
+        argv = ["stream", "--policy", policy]
+        if shards > 1:
+            argv += ["--shards", str(shards)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"{len(APPS) * 4} session(s)" in out
+        runs = {}
+        for mode in ("packed", "scalar"):
+            extra = ["--scalar"] if mode == "scalar" else []
+            assert main(argv + extra + ["--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            runs[mode] = {
+                row["session"]: (row["app"], row["steps"], row["hypers"],
+                                 row["cost"])
+                for row in payload["sessions"]
+            }
+        assert {app for app, *_rest in runs["packed"].values()} == set(APPS)
+        assert runs["packed"] == runs["scalar"]
+
 
 class TestAnnealFlags:
     def test_restart_stats_table(self, capsys):

@@ -37,14 +37,14 @@ BOUNDARY_WIDTHS = [63, 64, 65]
 
 @pytest.fixture(autouse=True)
 def force_epoch_kernel(request, monkeypatch):
-    """Pin the small-stack crossover to 0 so every fleet in this suite
-    drives the epoch kernel — the adversarial cases exist to cover it,
-    and production fleets below ``SMALL_STACK_SESSIONS`` would
-    otherwise delegate to per-cursor ``step_many``.  Tests marked
+    """Pin the handoff crossover to 0 so every sweep in this suite runs
+    the epoch kernel to the end — the adversarial cases exist to cover
+    it, and small or trigger-dense stacks would otherwise hand their
+    sessions to the Python-int resolver after one epoch.  Tests marked
     ``default_crossover`` keep the production threshold."""
     if "default_crossover" in request.keywords:
         return
-    monkeypatch.setattr(online, "SMALL_STACK_SESSIONS", 0)
+    monkeypatch.setattr(online, "HANDOFF_STEPS", 0)
 
 
 def _drift_masks(width, n, seed, *, phase=40, flip=0.05):
@@ -443,19 +443,27 @@ class TestBatchedTriggerReplay:
 
     @pytest.mark.default_crossover
     def test_small_stack_crossover_is_equivalent(self):
-        """At the production threshold, small groups delegate to
-        per-cursor ``step_many`` inside the sweep contract: the hub
-        still reports every session fused (no fallback branch), replay
-        telemetry still counts real installs, and decisions match the
-        oracle bit for bit."""
-        assert online.SMALL_STACK_SESSIONS > 0
+        """At the production crossover a small trigger-dense group runs
+        one kernel epoch per sweep and hands every still-active session
+        to the Python-int resolver: the hub still reports every session
+        fused, ``stream_replay_epochs`` counts kernel epochs only,
+        replay triggers still count every install, and decisions match
+        the oracle bit for bit."""
+        assert online.HANDOFF_STEPS > 0
         width = 65
         universe = SwitchUniverse.of_size(width)
         w = 4.0
         n, chunk = 192, 48
+        rng = make_rng(5)
         fleet = {}
-        for idx in range(online.SMALL_STACK_SESSIONS):
-            masks = _drift_masks(width, n, seed=idx, phase=9)
+        for idx in range(4):
+            # Fresh random masks every step: misfits every few steps,
+            # so the first epoch advances far fewer steps than the
+            # crossover and the rest of the chunk goes to the resolver.
+            masks = [
+                int.from_bytes(rng.bytes(9), "little") & universe.full_mask
+                for _ in range(n)
+            ]
             fleet[f"u{idx}"] = (
                 universe,
                 w,
@@ -469,13 +477,198 @@ class TestBatchedTriggerReplay:
         assert hub.metrics.stream_fused_fallback == 0
         total_installs = sum(len(s) for s in fused_scheds.values())
         assert hub.metrics.stream_replay_triggers == total_installs
-        assert hub.metrics.stream_replay_epochs > 0
+        assert hub.metrics.stream_replay_epochs == len(sizes)
+        assert total_installs > 4 * len(sizes) * len(fleet)
         for sid, (u, _w, _s, masks, _l) in fleet.items():
             cost, sched = _oracle(
                 u, w, RentOrBuyScheduler(w, alpha=1.0, memory=2), masks
             )
             assert fused_costs[sid] == cost
             assert fused_scheds[sid] == sched
+
+    @pytest.mark.default_crossover
+    def test_calm_stack_never_hands_off(self, monkeypatch):
+        """Once past the forced first step, a calm group advances whole
+        chunks per epoch, so the production crossover never engages the
+        resolver."""
+        width = 96
+        universe = SwitchUniverse.of_size(width)
+        w = float(width)
+        fleet = {}
+        for idx in range(16):
+            masks = _drift_masks(width, 512, seed=idx, phase=0, flip=0.0)
+            fleet[f"u{idx}"] = (
+                universe, w, _mixed_scheduler(idx, w, k=1024), masks,
+                masks_to_lanes(masks, width),
+            )
+        hub = StreamHub()
+        for sid, (universe, w, scheduler, _m, _l) in fleet.items():
+            hub.open(scheduler, universe, w, session_id=sid)
+        rounds = list(_rounds(fleet, [64] * 8))
+        # Every fresh session installs at step 0, so the first sweep
+        # advances one step per row in its first epoch and hands off.
+        hub.feed_many(rounds[0])
+        calls = []
+        for name in ("_resolve_rent_or_buy", "_resolve_window"):
+            real = getattr(online, name)
+            monkeypatch.setattr(
+                online, name,
+                lambda *args, real=real: calls.append(1) or real(*args),
+            )
+        for chunks in rounds[1:]:
+            hub.feed_many(chunks)
+        assert calls == []
+        fused_costs, _scheds = _outcome(hub.finish_all())
+        seq_costs, _ = _run_sequential(fleet, rounds)
+        assert fused_costs == seq_costs
+
+
+#: Where the resolver tests hand off: None never does, ``j`` hands every
+#: still-active session to the Python-int resolver once the kernel has
+#: run ``j`` epochs of a sweep (0 = before the first epoch).
+HANDOFF_POINTS = [None, 0, 1, 2, 3]
+HANDOFF_WIDTHS = [48, 63, 64, 65, 130]
+#: Shared working-set history of a resolver fleet: rent-or-buy
+#: ``memory - 1`` and window ``k`` (one fused group needs one value).
+HANDOFF_HISTORY = 5
+
+
+def _resolver_fleet(policy, width, seed):
+    """Six same-group sessions with mixed ``w``/``alpha``, trigger
+    densities from every step to calm, ragged total lengths, and empty
+    first requirements."""
+    universe = SwitchUniverse.of_size(width)
+    rng = make_rng(seed)
+    fleet = {}
+    for idx, (n, w, alpha) in enumerate([
+        (150, 2.0, 0.5), (97, 9.0, 3.0), (150, 5.0, 1.0),
+        (41, 13.0, 0.5), (120, 3.0, 3.0), (88, 7.0, 1.0),
+    ]):
+        if policy == "rent_or_buy":
+            scheduler = RentOrBuyScheduler(
+                w, alpha=alpha, memory=HANDOFF_HISTORY + 1
+            )
+        else:
+            scheduler = WindowScheduler(k=HANDOFF_HISTORY)
+        if idx % 3 == 0:
+            masks = [
+                int.from_bytes(rng.bytes((width + 7) // 8), "little")
+                & universe.full_mask
+                for _ in range(n)
+            ]
+        elif idx % 3 == 1:
+            masks = _drift_masks(width, n, seed=seed + idx, phase=9)
+        else:
+            masks = _drift_masks(width, n, seed=seed + idx, phase=0)
+        if idx % 2:
+            # An empty first requirement fits any hypercontext: only the
+            # forced step 0 makes the session install there.
+            masks[0] = 0
+        fleet[f"u{idx}"] = (
+            universe, w, scheduler, masks, masks_to_lanes(masks, width)
+        )
+    return fleet
+
+
+def _resolver_rounds(fleet, seed):
+    """Ragged rounds: every session takes its own 1–24 step chunk per
+    round, and the last session opens two rounds late (its forced
+    step 0 lands in a sweep whose other rows are mid-stream)."""
+    rng = make_rng(seed)
+    pos = {sid: 0 for sid in fleet}
+    late = list(fleet)[-1]
+    rounds = []
+    while any(pos[sid] < len(fleet[sid][3]) for sid in fleet):
+        chunks = {}
+        for sid, (_u, _w, _s, masks, lanes) in fleet.items():
+            lo = pos[sid]
+            if lo >= len(masks) or (sid == late and len(rounds) < 2):
+                continue
+            chunks[sid] = lanes[lo : lo + int(rng.integers(1, 25))]
+            pos[sid] = lo + len(chunks[sid])
+        rounds.append(chunks)
+    return rounds
+
+
+def _cursor_state(cursor):
+    stream = cursor.stream
+    state = {
+        "cur": cursor._cur.tolist(),
+        "cur_size": cursor._cur_size,
+        "n": stream.n,
+        "tail": stream.tail_rows(stream.history).tolist(),
+        "window": stream.window_union_mask(),
+        "union": stream.union_mask,
+    }
+    if hasattr(cursor, "_served"):
+        state["served"] = cursor._served.tolist()
+        state["regret"] = cursor._regret
+    return state
+
+
+class TestHandoffResolver:
+    """The Python-int resolver finishes sessions from any kernel state:
+    fused ≡ sequential ≡ scalar oracle whether the sweep hands off
+    never, before its first epoch, or after epoch 1, 2 or 3."""
+
+    @pytest.mark.parametrize("width", HANDOFF_WIDTHS)
+    @pytest.mark.parametrize("policy", ["rent_or_buy", "window"])
+    @pytest.mark.parametrize("handoff", HANDOFF_POINTS)
+    def test_handoff_point_is_bit_identical(
+        self, monkeypatch, handoff, policy, width
+    ):
+        calls = []
+        for name in ("_resolve_rent_or_buy", "_resolve_window"):
+            real = getattr(online, name)
+            monkeypatch.setattr(
+                online, name,
+                lambda *args, real=real: calls.append(1) or real(*args),
+            )
+        monkeypatch.setattr(
+            online,
+            "_hand_off",
+            lambda epochs, advanced, remaining: epochs == handoff,
+        )
+        seed = width * 7 + len(policy)
+        fleet = _resolver_fleet(policy, width, seed)
+        hub = StreamHub()
+        sequential = {}
+        front_installs = 0
+        for chunks in _resolver_rounds(fleet, seed):
+            for sid in chunks:
+                if sid not in sequential:
+                    universe, w, scheduler, _m, _l = fleet[sid]
+                    hub.open(scheduler, universe, w, session_id=sid)
+                    sequential[sid] = StreamSession(scheduler, universe, w)
+            fused = hub.feed_many(chunks)
+            reference = feed_sequential(sequential, chunks)
+            for sid in chunks:
+                got, want = fused[sid], reference[sid]
+                assert (got.start, got.steps, got.hypers) == (
+                    want.start, want.steps, want.hypers
+                )
+                assert got.cost == want.cost
+                assert got.cumulative_cost == want.cumulative_cost
+                np.testing.assert_array_equal(
+                    got.hyper_flags, want.hyper_flags
+                )
+                np.testing.assert_array_equal(got.sizes, want.sizes)
+                front_installs += int(
+                    got.hyper_flags[:HANDOFF_HISTORY].sum()
+                )
+                # The state committed after a handoff is what the next
+                # sweep resumes from.
+                assert _cursor_state(
+                    hub.session(sid)._batched
+                ) == _cursor_state(sequential[sid]._batched)
+        assert front_installs > 0
+        assert bool(calls) == (handoff is not None)
+        runs = hub.finish_all()
+        for sid, (universe, w, scheduler, masks, _l) in fleet.items():
+            cost, sched = _oracle(universe, w, scheduler, masks)
+            assert runs[sid].cost == cost
+            assert runs[sid].schedule.hyper_steps == sched
+            assert sequential[sid].finish().cost == cost
 
 
 class TestExtendMany:
