@@ -9,9 +9,11 @@ last merged PR.  This script compares a freshly measured artifact
 against the committed baseline row by row and exits nonzero when any
 throughput metric regressed by more than the tolerance.
 
-Matching is strict like-for-like: rows pair up only when every
-non-metric field agrees — including the ``smoke`` flag, so reduced-size
-CI smoke numbers are never judged against full-mode baselines.  A fresh
+Matching is strict like-for-like: rows pair up only when every cell
+parameter agrees — every non-metric field except the counters a run
+produces (see ``_RUN_OUTPUTS``), and including the ``smoke`` flag, so
+reduced-size CI smoke numbers are never judged against full-mode
+baselines.  A fresh
 row with no matching baseline row is skipped (new cells and axis
 extensions must not fail the guard), as is a whole artifact missing
 from the baseline directory.  A baseline row with no fresh counterpart
@@ -60,13 +62,20 @@ def _lower_is_better(field: str) -> bool:
 
 _UNGUARDED = {"speedup", "fused_fraction"}
 
+#: Columns a run *produces* rather than the cell it measures: E16's
+#: kernel epoch/trigger counts and E19's portfolio pick and error text.
+#: They move whenever the code under test changes its decisions, so
+#: they must not decide which baseline row a fresh row pairs with.
+_RUN_OUTPUTS = {"replay_epochs", "replay_triggers", "picked", "error"}
+
 
 def _row_key(row: dict) -> tuple:
-    """Identity of a row: every non-metric, non-ratio field."""
+    """Identity of a row: its cell parameters (every non-metric,
+    non-ratio, non-float field that is not a run output)."""
     return tuple(sorted(
         (k, v) for k, v in row.items()
         if not _is_metric(k) and k not in _UNGUARDED
-        and not isinstance(v, float)
+        and k not in _RUN_OUTPUTS and not isinstance(v, float)
     ))
 
 

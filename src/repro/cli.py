@@ -470,7 +470,6 @@ def cmd_serve(args) -> int:
             metrics_port=args.metrics_port,
             stats_interval=args.stats_interval,
             slow_ms=args.slow_ms,
-            proto=args.proto,
         )
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -1132,12 +1131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--stdin", action="store_true",
         help="speak the protocol over stdin/stdout instead of TCP",
-    )
-    p_serve.add_argument(
-        "--proto", choices=["auto", "json"], default="auto",
-        help="wire protocols to accept: auto negotiates binary v2 "
-             "frames with willing clients, json declines them "
-             "(default: auto)",
     )
     p_serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",

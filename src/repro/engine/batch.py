@@ -663,12 +663,6 @@ class BatchEngine:
         payload_sizes: dict[int, int] = {}  # id(obj) -> pickled bytes
         seq_sizes: dict[int, int] = {}  # id(seq) -> pickled masks bytes
         shipped_bytes = 0
-        # Under fork, workers inherit every global-arena row interned
-        # before the pool spawns (all payloads are built right here,
-        # before Pool creation), so arena chunks ship ids and *no*
-        # table.  Spawn-start platforms fall back to the per-chunk
-        # table, which is self-contained.
-        use_arena = multiprocessing.get_start_method() == "fork"
         for lo in range(0, len(indices), chunk):
             items = [
                 (i, requests[i], ship[i]) for i in indices[lo : lo + chunk]
@@ -676,7 +670,7 @@ class BatchEngine:
             interned = None
             if self.intern_masks:
                 interned, table_masks, intern_stats = intern_chunk(
-                    items, size_cache=seq_sizes, arena=use_arena
+                    items, size_cache=seq_sizes
                 )
                 # Interning only ships when it actually shrinks the
                 # payload: a chunk of mostly-distinct masks (random

@@ -12,18 +12,19 @@ arrays and encodes them itself.
 
 Wire protocol negotiation (``proto=``):
 
-* ``"auto"`` (default) — ask for v2 on the first ``open``; speak raw
-  binary feed frames if the server agrees, fall back to JSON lines
-  against older servers (which reject the unknown ``proto`` field —
-  the open is retried without it, once).
+* ``"auto"`` (default) — ask for v2 on the first ``open``; speak
+  binary feed frames if the server agrees, JSON lines otherwise.
 * ``"json"`` — classic v1 JSON frames only.
 * ``"bin"`` — require v2; raise :class:`ServeError` if the server
   declines.
 
 Binary feeds intern repeated masks into a per-``(connection, width)``
-:class:`~repro.serve.protocol.ClientArena` mirrored by the server; an
-error reply to a binary feed poisons that width's arena (the id maps
-can no longer be trusted to agree) and later chunks go raw.
+:class:`~repro.serve.protocol.ClientArena` mirrored by the server.  The
+arenas of one connection share the server's
+:data:`~repro.serve.protocol.MAX_INTERN_BYTES` budget: a chunk whose new
+rows would overrun it goes raw, so the server never has to reject one.
+An error reply to a binary feed stops every arena (the tables can no
+longer be trusted to agree) and later chunks go raw.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    MAX_INTERN_BYTES,
     PROTO_BIN,
     PROTO_JSON,
     ClientArena,
@@ -126,8 +128,9 @@ class ServeClient:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._recv = bytearray()
         self._widths: dict[str, int] = {}
-        #: width -> ClientArena, or None once poisoned (raw-only).
-        self._arenas: dict[int, ClientArena | None] = {}
+        #: width -> ClientArena (stopped ones keep counting their bytes:
+        #: the server's table still holds them).
+        self._arenas: dict[int, ClientArena] = {}
         self._closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -207,30 +210,14 @@ class ServeClient:
         frame.update(params)
         if self._bin is None or self._bin:
             frame["proto"] = PROTO_BIN
-        try:
-            reply = self.call(frame)
-        except ServeError as exc:
-            if (
-                self._bin is None
-                and self._proto == "auto"
-                and "unknown fields" in str(exc)
-                and "proto" in str(exc)
-            ):
-                # Pre-v2 server: it rejected the proto field itself.
-                # Retry once without it and stay on JSON for good.
-                self._bin = False
-                frame.pop("proto")
-                reply = self.call(frame)
-            else:
-                raise
-        else:
-            if self._bin is None:
-                self._bin = reply.get("proto") == PROTO_BIN
-                if not self._bin and self._proto == "bin":
-                    raise ServeError(
-                        "server declined wire protocol v2 "
-                        f"(answered proto={reply.get('proto', PROTO_JSON)})"
-                    )
+        reply = self.call(frame)
+        if self._bin is None:
+            self._bin = reply.get("proto") == PROTO_BIN
+            if not self._bin and self._proto == "bin":
+                raise ServeError(
+                    "server declined wire protocol v2 "
+                    f"(answered proto={reply.get('proto', PROTO_JSON)})"
+                )
         sid = reply["session"]
         self._widths[sid] = width
         return sid
@@ -243,16 +230,16 @@ class ServeClient:
                 f"session {session_id!r} was not opened by this client"
             ) from None
 
-    def _arena(self, width: int) -> ClientArena | None:
+    def _arena(self, width: int) -> ClientArena:
         if width not in self._arenas:
             self._arenas[width] = ClientArena(width)
         return self._arenas[width]
 
     def _poison_arenas(self) -> None:
-        """After an error reply to a binary feed the server's id maps
+        """After an error reply to a binary feed the server's tables
         may have diverged from ours; stop interning, go raw."""
-        for width in self._arenas:
-            self._arenas[width] = None
+        for arena in self._arenas.values():
+            arena.stop()
 
     def _encode_feed(
         self, session_id: str, masks, *, trace: str | None
@@ -267,11 +254,16 @@ class ServeClient:
         if count == 0:
             raise ValueError("feed chunks must contain at least one mask")
         if self._bin and trace is None:
+            arena = self._arena(width)
+            room = MAX_INTERN_BYTES - sum(
+                a.nbytes for a in self._arenas.values()
+            )
             return encode_feed_bin(
                 session_id,
                 _as_lanes(masks, width),
                 width,
-                arena=self._arena(width),
+                arena=arena,
+                room=room,
                 deflate=self._deflate,
             )
         blob = encode_mask_chunk(masks, width, encoding=self._encoding)

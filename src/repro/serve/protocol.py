@@ -58,10 +58,14 @@ new_rows`` followed by ``new_rows · L`` lanes and ``count`` row ids in
 the narrowest dtype ``base_epoch + new_rows`` allows.  DEFLATE marks
 the section (only) as zlib-compressed; the receiver knows the exact
 inflated size, so decompression is strictly bounded.  Ids are indices
-into the *connection's* intern table (:class:`ClientArena` client-side,
-an id-map onto the global :class:`~repro.engine.intern.MaskArena`
-server-side); ``base_epoch`` must equal the table's current size, so a
-desynced client is rejected loudly, never served wrong lanes.
+into the *connection's* intern table of that width (:class:`ClientArena`
+client-side, a lane table of the same rows server-side); ``base_epoch``
+must equal the table's current size, so a desynced client is rejected
+loudly, never served wrong lanes.  The tables live exactly as long as
+their connection, and a connection's tables together hold at most
+:data:`MAX_INTERN_BYTES` of lanes: the server rejects any interned
+frame that would grow them further, and a conforming client sends such
+chunks raw instead.
 
 Version negotiation rides the JSON ``open`` frame: a v2 client sends
 ``"proto": 2`` and switches to binary feeds only when the reply echoes
@@ -96,6 +100,7 @@ __all__ = [
     "ClientArena",
     "MAX_CLIENT_ARENA",
     "MAX_FRAME_BYTES",
+    "MAX_INTERN_BYTES",
     "PROTO_BIN",
     "PROTO_JSON",
     "ProtocolError",
@@ -144,6 +149,13 @@ BIN_HEADER = struct.Struct("<BBBBI")
 #: failed to converge — interning was the wrong tool for that stream).
 MAX_CLIENT_ARENA = 1 << 16
 
+#: Byte budget of one connection's intern tables, summed across widths
+#: (``rows · L · 8`` per table).  Without it a client could pin
+#: ``MAX_CLIENT_ARENA`` rows of up to 1024 lanes — 512 MiB — per width
+#: for the life of its connection.  4 MiB still holds a full
+#: ``MAX_CLIENT_ARENA``-row table up to eight lanes (512 switches) wide.
+MAX_INTERN_BYTES = 1 << 22
+
 #: Adaptive interning probe: once a client arena has seen this many
 #: rows, a distinct fraction above :data:`ARENA_MAX_DISTINCT` means the
 #: stream barely repeats itself — interning then costs table CPU on
@@ -170,8 +182,8 @@ class OpenFrame:
     """Parsed ``open`` request.
 
     ``proto`` is the client's highest supported protocol version
-    (:data:`PROTO_JSON` when absent — every pre-v2 client); a v2 server
-    echoes ``proto: 2`` in the reply when binary feeds are enabled.
+    (:data:`PROTO_JSON` when absent — every pre-v2 client); the server
+    echoes ``proto: 2`` in the reply to a client that asked for it.
     """
 
     session: str | None
@@ -353,14 +365,16 @@ def _id_dtype(table_size: int) -> str:
 class ClientArena:
     """Client-side intern table of one ``(connection, width)`` pair.
 
-    Mirrors the server's per-connection id map: both sides append the
-    same rows in the same frame order, so the table *size* is the
+    Mirrors the server's per-connection lane table: both sides append
+    the same rows in the same frame order, so the table *size* is the
     shared epoch — it rides every interned frame as ``base_epoch`` and
     any drift is detected before a single wrong lane is served.  Ids
-    are connection-local (the server translates them onto its global
-    :class:`~repro.engine.intern.MaskArena`).  At :data:`MAX_CLIENT_ARENA`
-    distinct rows the table stops growing and :meth:`intern` signals
-    the caller to send raw frames instead.
+    are connection-local, and so is the server's table: it is freed
+    when the connection closes.  At :data:`MAX_CLIENT_ARENA` distinct
+    rows, or when a chunk's new rows would not fit the connection's
+    remaining :data:`MAX_INTERN_BYTES` (``room``), the table stops
+    growing and :meth:`intern` signals the caller to send raw frames
+    instead.
 
     Interning is also *adaptive*: after :data:`ARENA_PROBE_ROWS` rows,
     a stream whose distinct fraction exceeds :data:`ARENA_MAX_DISTINCT`
@@ -385,14 +399,24 @@ class ClientArena:
         return len(self._ids)
 
     @property
+    def nbytes(self) -> int:
+        """Lane bytes the mirrored server table holds for this arena."""
+        return len(self._ids) * self.lanes_per_row * 8
+
+    @property
     def active(self) -> bool:
         """False once the arena stopped interning (full or divergent)."""
         return not self._given_up
 
-    def intern(self, lanes: np.ndarray):
+    def stop(self) -> None:
+        """Stop interning for good; later chunks go raw."""
+        self._given_up = True
+
+    def intern(self, lanes: np.ndarray, *, room: int | None = None):
         """Intern one chunk's rows; ``None`` when the chunk must go raw
-        instead (table overflow or a stream that does not repeat itself
-        — either way nothing is committed).
+        instead (table overflow, new rows needing more than ``room``
+        bytes, or a stream that does not repeat itself — either way
+        nothing is committed).
 
         Returns ``(base_epoch, new_lanes, ids)``: the table size before
         this chunk, the ``(k, L)`` matrix of first-seen rows in id
@@ -414,7 +438,10 @@ class ClientArena:
             ids[j] = idx
         self.rows_seen += lanes.shape[0]
         distinct = base + len(fresh)
-        if distinct > self.cap:
+        if distinct > self.cap or (
+            room is not None
+            and len(fresh) * self.lanes_per_row * 8 > room
+        ):
             self._given_up = True
             return None
         if (
@@ -449,13 +476,16 @@ def encode_feed_bin(
     width: int,
     *,
     arena: ClientArena | None = None,
+    room: int | None = None,
     deflate: bool | None = None,
 ) -> bytes:
     """Encode one v2 binary feed frame.
 
     ``lanes`` is the chunk's ``(C, L)`` uint64 matrix.  With ``arena``,
     the chunk ships interned — first-seen rows once plus per-step ids —
-    unless the table is full (silent raw fallback).  ``deflate=None``
+    unless the table is full or its new rows need more than ``room``
+    bytes of the connection's intern budget (silent raw fallback, see
+    :meth:`ClientArena.intern`).  ``deflate=None``
     compresses the section only when that actually wins; ``True``/
     ``False`` force it (golden fixtures pin the uncompressed form).
     """
@@ -475,7 +505,9 @@ def encode_feed_bin(
             "binary feed session ids must be 1..255 UTF-8 bytes"
         )
     flags = 0
-    interned = arena.intern(lanes) if arena is not None else None
+    interned = (
+        arena.intern(lanes, room=room) if arena is not None else None
+    )
     if interned is not None:
         base, new_lanes, ids = interned
         flags |= BIN_FLAG_INTERNED

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.packed import lane_count
 from repro.core.switches import SwitchUniverse
-from repro.engine.intern import InternedChunk, arena_for
 from repro.obs.expo import MetricsHTTPServer, render_exposition
 from repro.obs.trace import TraceRecorder
 from repro.serve.protocol import (
@@ -53,8 +53,8 @@ from repro.serve.protocol import (
     BIN_MAGIC,
     BIN_VERSION,
     MAX_FRAME_BYTES,
+    MAX_INTERN_BYTES,
     PROTO_BIN,
-    PROTO_JSON,
     CloseFrame,
     FeedFrame,
     MetricsFrame,
@@ -100,10 +100,6 @@ class ServeConfig:
     slow_ms: float | None = 100.0
     #: Span ring size of the request tracer (``0`` disables tracing).
     trace_capacity: int = 2048
-    #: ``"auto"`` negotiates wire protocol v2 (binary feed frames) with
-    #: clients that ask for it; ``"json"`` declines v2 on ``open`` and
-    #: rejects binary frames outright (debugging / packet capture).
-    proto: str = "auto"
     #: Per-connection cap on staged-but-unanswered frames.  Pipelined
     #: clients keep up to this many requests in flight before the
     #: reader stalls and TCP backpressure reaches the sender.
@@ -132,8 +128,6 @@ class ServeConfig:
             raise ValueError("slow_ms must be non-negative")
         if self.trace_capacity < 0:
             raise ValueError("trace_capacity must be non-negative")
-        if self.proto not in ("auto", "json"):
-            raise ValueError('proto must be "auto" or "json"')
         if self.pipeline < 1:
             raise ValueError("pipeline must be at least 1")
 
@@ -166,54 +160,65 @@ class _EncodedChunk:
         return self._resolve()
 
 
-class _IdMap:
-    """Connection-local arena ids -> global arena ids, one width.
+class _LaneTable:
+    """The server's mirror of one ``(connection, width)`` client arena.
 
     A client numbers its interned rows 0, 1, 2, ... in send order; the
-    server appends each frame's first-seen rows to the process-global
-    :class:`~repro.engine.intern.MaskArena` and records the resulting
-    global ids here, so later frames' id rows translate with one
-    fancy-indexed gather.  ``len`` is the replicated client epoch —
-    every interned frame must arrive with exactly this base epoch.
+    server appends each frame's first-seen rows here, so a frame's id
+    row resolves to its ``(C, L)`` lanes with one fancy-indexed gather.
+    ``len`` is the replicated client epoch — every interned frame must
+    arrive with exactly this base epoch.  Capacity doubles but never
+    past the rows :data:`~repro.serve.protocol.MAX_INTERN_BYTES` holds,
+    so the allocation stays within the budget too.
     """
 
-    __slots__ = ("_map", "_n")
+    __slots__ = ("_rows", "_n", "_max_rows")
 
-    def __init__(self):
-        self._map = np.empty(256, dtype=np.uint32)
+    def __init__(self, lanes_per_row: int):
+        self._rows = np.empty((0, lanes_per_row), dtype=np.uint64)
         self._n = 0
+        self._max_rows = MAX_INTERN_BYTES // (8 * lanes_per_row)
 
     def __len__(self) -> int:
         return self._n
 
-    def extend(self, global_ids: np.ndarray) -> None:
-        need = self._n + global_ids.shape[0]
-        if need > self._map.shape[0]:
+    def extend(self, new_lanes: np.ndarray) -> None:
+        need = self._n + new_lanes.shape[0]
+        if need > self._rows.shape[0]:
+            cap = min(2 * self._rows.shape[0], self._max_rows)
             grown = np.empty(
-                max(need, 2 * self._map.shape[0]), dtype=np.uint32
+                (max(need, cap), self._rows.shape[1]), dtype=np.uint64
             )
-            grown[: self._n] = self._map[: self._n]
-            self._map = grown
-        self._map[self._n : need] = global_ids
+            grown[: self._n] = self._rows[: self._n]
+            self._rows = grown
+        self._rows[self._n : need] = new_lanes
         self._n = need
 
-    def translate(self, ids: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(self._map[: self._n][ids])
+    def gather(self, ids: np.ndarray) -> np.ndarray:
+        """The ``(C, L)`` lanes of an id row (a fresh array; ids were
+        bounds-checked against the epoch by the frame parser)."""
+        return self._rows[ids]
 
 
 class _ConnState:
-    """Per-connection wire state: one client-arena id map per width."""
+    """Per-connection wire state: one intern table per width.
 
-    __slots__ = ("idmaps",)
+    ``intern_bytes`` sums the tables' rows (``rows · L · 8``) across
+    widths; :data:`~repro.serve.protocol.MAX_INTERN_BYTES` caps it,
+    and the tables die with the connection.
+    """
+
+    __slots__ = ("tables", "intern_bytes")
 
     def __init__(self):
-        self.idmaps: dict[int, _IdMap] = {}
+        self.tables: dict[int, _LaneTable] = {}
+        self.intern_bytes = 0
 
-    def idmap(self, width: int) -> _IdMap:
+    def table(self, width: int) -> _LaneTable:
         try:
-            return self.idmaps[width]
+            return self.tables[width]
         except KeyError:
-            self.idmaps[width] = made = _IdMap()
+            self.tables[width] = made = _LaneTable(lane_count(width))
             return made
 
 
@@ -361,6 +366,8 @@ class StreamServer:
         #: session id -> (universe width, shard) for feed decoding.
         self._sessions: dict[str, tuple[int, int]] = {}
         self._sessions_lock = threading.Lock()
+        #: Live intern-table bytes summed over open connections.
+        self._intern_bytes = 0
         self._queues = [
             _ShardQueue(self.config.queue_depth)
             for _ in range(self.config.shards)
@@ -657,6 +664,7 @@ class StreamServer:
                     finish = _ready(error_frame(str(message)))
                 await replies.put((proto, finish))
         finally:
+            self._intern_bytes -= conn.intern_bytes
             await replies.put(None)
             await sender
 
@@ -754,11 +762,6 @@ class StreamServer:
         """
         if kind == "bin":
             opcode, flags, data = payload
-            if self.config.proto == "json":
-                raise ProtocolError(
-                    "binary frames are disabled (server runs "
-                    "--proto json)"
-                )
             return await self._stage_bin_feed(conn, opcode, flags, data)
         frame = parse_request(
             decode_frame(payload),
@@ -843,21 +846,29 @@ class StreamServer:
         width, shard = self._session_of(bframe.session)
         if bframe.interned:
             # Interned sections are small (first-seen rows plus an id
-            # row) and ordering-critical — the global-arena append and
-            # the id map must advance in frame order — so they resolve
-            # at stage time, not in the drain executor.
+            # row) and ordering-critical — the connection's table must
+            # advance in frame order — so they resolve at stage time,
+            # not in the drain executor.
             t0 = time.perf_counter()
-            new_lanes, ids = bframe.interned_parts(width)
-            idmap = conn.idmap(width)
-            if bframe.base_epoch != len(idmap):
+            table = conn.table(width)
+            if bframe.base_epoch != len(table):
                 raise ProtocolError(
                     f"interned feed base epoch {bframe.base_epoch} does "
                     f"not match the connection's table "
-                    f"({len(idmap)} rows)"
+                    f"({len(table)} rows)"
                 )
-            if new_lanes.shape[0]:
-                idmap.extend(arena_for(width).intern_rows(new_lanes))
-            lanes = InternedChunk(width, idmap.translate(ids))
+            grow = bframe.new_rows * lane_count(width) * 8
+            if conn.intern_bytes + grow > MAX_INTERN_BYTES:
+                raise ProtocolError(
+                    f"interned feed would take the connection's intern "
+                    f"tables past {MAX_INTERN_BYTES} bytes"
+                )
+            new_lanes, ids = bframe.interned_parts(width)
+            if grow:
+                table.extend(new_lanes)
+                conn.intern_bytes += grow
+                self._intern_bytes += grow
+            lanes = table.gather(ids)
             self.pool.metrics.record_wire(
                 "bin", decode_seconds=time.perf_counter() - t0
             )
@@ -948,12 +959,9 @@ class StreamServer:
         if frame.proto == PROTO_BIN:
             # Negotiation: the client asked for wire protocol v2;
             # echoing proto=2 green-lights binary feed frames on this
-            # connection.  A "--proto json" server answers 1 and the
-            # client stays on JSON.  v1 clients never send the field
-            # and never see it.
-            reply["proto"] = (
-                PROTO_BIN if self.config.proto == "auto" else PROTO_JSON
-            )
+            # connection.  v1 clients never send the field and never
+            # see it.
+            reply["proto"] = PROTO_BIN
         return reply
 
     async def _handle_stats(self, _frame: StatsFrame) -> dict:
@@ -963,6 +971,7 @@ class StreamServer:
         return ok_frame(
             "stats",
             server=self.counters.snapshot(),
+            intern_bytes=self._intern_bytes,
             uptime_s=time.monotonic() - self._started_mono,
             trace=self.tracer.snapshot(),
             **pool_stats,
@@ -1003,6 +1012,7 @@ class StreamServer:
         counters, merged histogram summaries, per-shard rows)."""
         return {
             "server": self.counters.snapshot(),
+            "intern_bytes": self._intern_bytes,
             "uptime_s": time.monotonic() - self._started_mono,
             "trace": self.tracer.snapshot(),
             "slow": [e.to_dict() for e in self.tracer.slow_events(32)],
@@ -1079,6 +1089,7 @@ class StreamServer:
         gauges = {
             "uptime_seconds": time.monotonic() - self._started_mono,
             "sessions": sum(occupancy.values()),
+            "intern_bytes": self._intern_bytes,
             "shard_sessions": [
                 ({"shard": str(shard)}, occupancy.get(shard, 0))
                 for shard in range(self.config.shards)

@@ -31,7 +31,6 @@ from itertools import count
 import numpy as np
 
 from repro.core.switches import SwitchUniverse
-from repro.engine.intern import arena_stats
 from repro.engine.metrics import DETERMINISTIC_FAMILIES, EngineMetrics
 from repro.engine.stream import StreamBatch, StreamHub
 from repro.obs.histogram import HistogramFamily
@@ -336,7 +335,6 @@ class ShardPool:
             },
             "shards": shards,
             "sessions": sum(occupancy),
-            "arenas": arena_stats(),
         }
 
     def close(self) -> None:

@@ -15,12 +15,7 @@ from repro.analysis.sweeps import make_instance
 from repro.core.context import RequirementSequence
 from repro.core.switches import SwitchUniverse
 from repro.engine import BatchEngine, SolveRequest
-from repro.engine.intern import (
-    MaskTable,
-    arena_for,
-    intern_chunk,
-    restore_chunk,
-)
+from repro.engine.intern import MaskTable, intern_chunk, restore_chunk
 
 
 def _periodic_seq(universe, period_masks, n):
@@ -97,31 +92,6 @@ class TestChunkRoundTrip:
         assert len(lean) < len(raw) / 3  # the real payload shrinks too
 
 
-class TestArenaChunks:
-    def test_arena_round_trip_and_cross_chunk_dedup(self):
-        """``arena=True`` ships no table at all — ids resolve against
-        the global arena — and distinct masks intern once *across*
-        chunks, which the per-chunk table could never do."""
-        universe = SwitchUniverse.of_size(96)
-        period = [1 << 70, (1 << 95) | 3, 7]
-        seq = _periodic_seq(universe, period, 120)
-        items = [(0, SolveRequest.single(seq, w=9.0), None)]
-        interned, table, stats = intern_chunk(items, arena=True)
-        assert table is None
-        assert stats.masks_unique == 3
-        restored = restore_chunk(interned, None)
-        assert restored[0][1].seq.masks == seq.masks
-        assert restored[0][1].seq.universe is universe
-        assert arena_for(96).epoch == 3
-        # A second chunk over the same masks adds zero arena rows.
-        seq2 = _periodic_seq(universe, list(reversed(period)), 60)
-        items2 = [(0, SolveRequest.single(seq2, w=2.0), None)]
-        interned2, table2, _stats2 = intern_chunk(items2, arena=True)
-        assert table2 is None
-        assert arena_for(96).epoch == 3
-        assert restore_chunk(interned2, None)[0][1].seq.masks == seq2.masks
-
-
 class TestEngineIntegration:
     @pytest.fixture(scope="class")
     def app_requests(self):
@@ -152,32 +122,23 @@ class TestEngineIntegration:
         report = interned.metrics.format_report()
         assert "mask interning" in report
 
-    def test_random_chunks_intern_via_arena_under_fork(self):
-        """Mostly-distinct masks would pay the per-chunk *table*'s
-        overhead for nothing — shipping one would lose bytes — but the
-        global arena changes the economics under fork: rows live in the
-        parent and are inherited, so even random chunks ship as bare id
-        rows and the savings are real."""
-        import multiprocessing
-
+    def test_random_chunks_ship_raw(self):
+        """Mostly-distinct masks would pay the per-chunk table's
+        overhead for nothing — shipping one would lose bytes — so
+        those chunks ship raw on every start method and the interning
+        row stays empty."""
         requests = []
         for seed in range(4):
             system, seqs = make_instance(3, 120, 40, seed=seed)
             requests.append(
                 SolveRequest.multi(system, seqs, solver="mt_greedy")
             )
-        # The per-chunk table (spawn-platform fallback) still loses on
-        # this workload — the reason these chunks used to ship raw.
         items = [(i, req, None) for i, req in enumerate(requests)]
         _interned, _table, stats = intern_chunk(items)
         assert stats.bytes_saved <= 0
         engine = BatchEngine(workers=2, cache_size=0)
         assert all(r.ok for r in engine.solve_batch(requests))
-        if multiprocessing.get_start_method() == "fork":
-            assert engine.metrics.intern_masks_total == 4 * 3 * 120
-            assert engine.metrics.snapshot()["intern"]["bytes_saved"] > 0
-        else:  # pragma: no cover - spawn platforms keep the old skip
-            assert engine.metrics.intern_masks_total == 0
+        assert engine.metrics.intern_masks_total == 0
 
     def test_inline_solves_untouched(self, app_requests):
         """workers=1 never builds payloads, so interning never runs."""

@@ -1,4 +1,5 @@
-"""Wire protocol v2: binary frames, intern arenas, negotiation.
+"""Wire protocol v2: binary frames, per-connection intern tables,
+negotiation.
 
 Three layers of pinning:
 
@@ -15,14 +16,16 @@ Three layers of pinning:
 * **served behavior** — a v1-only client completes the full
   open/feed/close/stats flow against a v2 server unchanged; v2 clients
   (raw, interned, deflated, pipelined) produce bit-identical costs to
-  the single-hub oracle over a two-shard pool; epoch drift and
-  malformed binary frames earn error replies on a surviving
-  connection.
+  the single-hub oracle over a two-shard pool; epoch drift, malformed
+  binary frames and interned rows past the connection's byte budget
+  earn error replies on a surviving connection, and a connection's
+  intern tables are freed when it closes.
 """
 
 from __future__ import annotations
 
 import pathlib
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,7 +34,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.packed import lane_count, masks_to_lanes
 from repro.core.switches import SwitchUniverse
-from repro.engine.intern import MaskArena, arena_for, arena_stats
 from repro.engine.stream import StreamSession
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
@@ -42,6 +44,7 @@ from repro.serve.protocol import (
     BIN_MAGIC,
     BIN_OP_FEED,
     BIN_VERSION,
+    MAX_INTERN_BYTES,
     ClientArena,
     ProtocolError,
     encode_feed_bin,
@@ -307,30 +310,15 @@ class TestClientArena:
         assert arena.active
         assert arena.rows_seen == 1200 and arena.epoch == 4
 
-
-class TestMaskArena:
-    def test_intern_gather_round_trip(self):
-        arena = MaskArena(96)
-        masks = [0b101, 1 << 90, 0b101, 7]
-        ids = arena.intern_masks(masks)
-        assert arena.epoch == 3
-        assert list(ids) == [0, 1, 0, 2]
-        assert arena.masks_for(ids) == tuple(masks)
-        assert np.array_equal(
-            arena.rows(ids), masks_to_lanes(masks, 96)
-        )
-
-    def test_unknown_id_rejected(self):
-        arena = MaskArena(8)
-        arena.intern_masks([1])
-        with pytest.raises(KeyError, match="beyond epoch"):
-            arena.rows(np.array([1], dtype=np.uint32))
-
-    def test_registry_is_per_width(self):
-        assert arena_for(8) is arena_for(8)
-        assert arena_for(8) is not arena_for(16)
-        arena_for(8).intern_masks([1, 2])
-        assert arena_stats() == {8: 2, 16: 0}
+    def test_byte_room_goes_raw(self):
+        arena = ClientArena(130)  # three lanes: 24 bytes per row
+        assert arena.intern(masks_to_lanes([1, 2, 1], 130), room=48)
+        assert arena.nbytes == 48
+        # Known rows need no room; one fresh row does.
+        assert arena.intern(masks_to_lanes([2, 1], 130), room=0)
+        assert arena.intern(masks_to_lanes([3], 130), room=23) is None
+        assert not arena.active
+        assert arena.epoch == 2  # nothing committed
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +437,7 @@ class TestServedProtocolV2:
                 assert not reply["ok"]
                 assert "base epoch" in reply["error"]
                 # The connection (and session) still work — the
-                # server's id map was not advanced by the rejected
+                # server's table was not advanced by the rejected
                 # frame, so the client's real arena is still in sync.
                 assert client.stats()["ok"]
                 assert client.feed(sid, [1]).steps == 1
@@ -493,17 +481,133 @@ class TestServedProtocolV2:
             assert wire["json"]["frames_in"] >= 3  # open/close/stats
             assert wire["json"]["bytes_out"] > 0
 
-    def test_server_arena_shared_across_connections(self):
-        """Two connections interning the same masks share global rows."""
-        with ServerThread(ServeConfig(shards=1)) as (host, port):
-            for _ in range(2):
+    def test_connections_intern_independently(self, oracle_cost):
+        """Two connections interning the same masks each hold their own
+        table; a base-epoch desync on one is rejected while the other's
+        session stays oracle-identical, and both tables are freed when
+        their connections close."""
+        rows = len({m for m in TRACE}) * lane_count(WIDTH) * 8
+        half = len(TRACE) // 2
+        with ServerThread(ServeConfig(shards=2)) as (host, port):
+            with ServeClient(host, port) as probe:
                 with ServeClient(
                     host, port, proto="bin", deflate=False
-                ) as client:
-                    sid = client.open(width=24, w=3.0)
-                    client.feed(sid, [1, 2, 3, 1])
-                    client.close_session(sid)
+                ) as a, ServeClient(
+                    host, port, proto="bin", deflate=False
+                ) as b:
+                    sid_a = a.open(width=WIDTH, w=5.0)
+                    sid_b = b.open(width=WIDTH, w=5.0)
+                    a.feed(sid_a, TRACE[:half])
+                    b.feed(sid_b, TRACE[:half])
+                    a.feed(sid_a, TRACE[half:])
+                    # Same rows, two tables: nothing is shared.
+                    assert probe.stats()["intern_bytes"] == 2 * rows
+                    rogue = ClientArena(WIDTH)
+                    rogue.intern(masks_to_lanes([1, 2, 3], WIDTH))
+                    a._send(encode_feed_bin(
+                        sid_a, masks_to_lanes([1, 2], WIDTH), WIDTH,
+                        arena=rogue, deflate=False,
+                    ))
+                    reply = a._recv_reply()
+                    assert not reply["ok"]
+                    assert "base epoch" in reply["error"]
+                    b.feed(sid_b, TRACE[half:])
+                    assert b.close_session(sid_b).cost == oracle_cost
+                    assert a.close_session(sid_a).cost == oracle_cost
+                    assert probe.stats()["intern_bytes"] == 2 * rows
+                _await_intern_bytes(probe, 0)
+
+
+#: 128-lane universe for the byte-budget tests: 1 KiB per table row.
+WIDE = 128 * 64
+WIDE_ROW_BYTES = lane_count(WIDE) * 8
+#: Fresh rows per frame; each step repeats one (the client's adaptive
+#: probe keeps interning a stream whose distinct fraction is 1/2).
+WIDE_FRESH = 400
+
+
+def _wide_chunks(n_chunks: int):
+    """Chunks of ``WIDE_FRESH`` fresh rows, each sent twice.  Row ``r``
+    sets bit ``r`` of its lane ``r % L`` and its low bit — sparse, so
+    the policy work stays small next to the wire traffic."""
+    L = lane_count(WIDE)
+    for c in range(n_chunks):
+        fresh = np.zeros((WIDE_FRESH, L), dtype=np.uint64)
+        r = np.arange(c * WIDE_FRESH, (c + 1) * WIDE_FRESH)
+        fresh[np.arange(WIDE_FRESH), r % L] = (
+            np.uint64(1) << (r // L % 63 + 1).astype(np.uint64)
+        ) | np.uint64(1)
+        yield np.repeat(fresh, 2, axis=0)
+
+
+def _await_intern_bytes(probe: ServeClient, want: int) -> None:
+    """Poll until the server has torn the closed connections down."""
+    deadline = time.monotonic() + 10.0
+    while probe.stats()["intern_bytes"] != want:
+        assert time.monotonic() < deadline, "intern tables not freed"
+        time.sleep(0.02)
+
+
+class TestInternBudget:
+    def test_budget_rejects_past_it_and_frees_on_disconnect(self):
+        """A client that ignores the budget keeps shipping fresh rows:
+        the frame that would overrun it is rejected, the connection
+        and server survive, and the bytes go back on disconnect."""
+        fits = MAX_INTERN_BYTES // (WIDE_FRESH * WIDE_ROW_BYTES)
+        with ServerThread(ServeConfig(shards=1)) as (host, port):
             with ServeClient(host, port) as probe:
-                arenas = probe.stats()["arenas"]
-            # Same three distinct rows from both connections.
-            assert arenas == {"24": 3}
+                with ServeClient(
+                    host, port, proto="bin", deflate=False
+                ) as hostile:
+                    sid = hostile.open(width=WIDE, w=5.0)
+                    arena = ClientArena(WIDE)
+                    for i, lanes in enumerate(_wide_chunks(fits + 1)):
+                        hostile._send(encode_feed_bin(
+                            sid, lanes, WIDE, arena=arena, deflate=False
+                        ))
+                        reply = hostile._recv_reply()
+                        if i < fits:
+                            assert reply["ok"], reply
+                        else:
+                            assert not reply["ok"]
+                            assert "intern tables past" in reply["error"]
+                    live = fits * WIDE_FRESH * WIDE_ROW_BYTES
+                    assert probe.stats()["intern_bytes"] == live
+                    # Raw feeds still flow on the same connection.
+                    hostile._send(encode_feed_bin(
+                        sid, lanes[:4], WIDE, deflate=False
+                    ))
+                    assert hostile._recv_reply()["steps"] == 4
+                    assert hostile.close_session(sid).steps == (
+                        fits * 2 * WIDE_FRESH + 4
+                    )
+                _await_intern_bytes(probe, 0)
+                assert probe.stats()["server"]["protocol_errors"] == 1
+
+    def test_conforming_client_goes_raw_first(self):
+        """``ServeClient`` applies the server's budget to its own
+        arenas: past it, chunks go raw and no feed is rejected."""
+        fits = MAX_INTERN_BYTES // (WIDE_FRESH * WIDE_ROW_BYTES)
+        chunks = list(_wide_chunks(fits + 2))
+        oracle = StreamSession(
+            policy_from_spec("rent_or_buy", 5.0, {}),
+            SwitchUniverse.of_size(WIDE),
+            5.0,
+        )
+        for lanes in chunks:
+            oracle.feed_many(lanes)
+        with ServerThread(ServeConfig(shards=1)) as (host, port):
+            with ServeClient(
+                host, port, proto="bin", deflate=False
+            ) as client:
+                sid = client.open(width=WIDE, w=5.0)
+                for lanes in chunks:
+                    client.feed(sid, lanes)
+                arena = client._arenas[WIDE]
+                assert not arena.active
+                assert client.stats()["intern_bytes"] == arena.nbytes
+                assert arena.nbytes <= MAX_INTERN_BYTES
+                assert client.close_session(sid).cost == (
+                    oracle.finish().cost
+                )
+                assert client.stats()["server"]["protocol_errors"] == 0
