@@ -24,6 +24,7 @@ proves it changes speed, never answers:
   metrics must show the per-chunk serialization drop.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -250,6 +251,9 @@ FUSED_MIN_SPEEDUP_SMOKE = 2.0
 #: scale.
 FUSED_MIN_SPEEDUP_HECTIC = 2.0
 FUSED_MIN_SPEEDUP_HECTIC_SMOKE = 1.2
+#: Interleaved sequential/fused pairs per cell; the gate reads the
+#: median of their per-pair speedups.
+FUSED_PAIRS = 7
 
 
 @pytest.mark.parametrize("regime", ["calm", "hectic"])
@@ -350,14 +354,25 @@ def test_bench_stream_fused_hub(
         costs = {sid: r.cost for sid, r in hub.finish_all().items()}
         return rate, costs, hub.metrics
 
-    # Best of three per path — ratios of noisy timings are noisy.
-    seq_rate = fused_rate = 0.0
-    for _rep in range(3):
-        rate, seq_costs = run_sequential()
-        seq_rate = max(seq_rate, rate)
-        rate, fused_costs, fused_metrics = run_fused()
-        fused_rate = max(fused_rate, rate)
-    assert fused_costs == seq_costs
+    # Interleaved pairs, judged by the median of per-pair ratios: a
+    # pair's two runs see the same machine, so a neighbour's burst
+    # moves both, and the median drops the pairs it hit unevenly.  The
+    # order within a pair alternates, so neither path always runs on
+    # the other's warm caches.
+    seq_rates, fused_rates, ratios = [], [], []
+    for pair in range(FUSED_PAIRS):
+        if pair % 2:
+            fused_rate, fused_costs, fused_metrics = run_fused()
+            seq_rate, seq_costs = run_sequential()
+        else:
+            seq_rate, seq_costs = run_sequential()
+            fused_rate, fused_costs, fused_metrics = run_fused()
+        assert fused_costs == seq_costs
+        seq_rates.append(seq_rate)
+        fused_rates.append(fused_rate)
+        ratios.append(fused_rate / seq_rate)
+    seq_rate = statistics.median(seq_rates)
+    fused_rate = statistics.median(fused_rates)
     fused_n = fused_metrics.stream_fused
     fallback_n = fused_metrics.stream_fused_fallback
     # Epoch replay keeps every eligible chunk inside the kernel.
@@ -391,7 +406,7 @@ def test_bench_stream_fused_hub(
 
     benchmark.pedantic(once, iterations=1, rounds=1)
 
-    speedup = fused_rate / seq_rate
+    speedup = statistics.median(ratios)
     bench_artifact.record("e16", "fused_hub", [{
         "regime": regime,
         "sessions": fleet,

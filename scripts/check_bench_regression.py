@@ -7,7 +7,13 @@ The bench harness writes ``BENCH_e16.json`` / ``BENCH_e17.json`` /
 artifacts are committed — they *are* the performance baseline of the
 last merged PR.  This script compares a freshly measured artifact
 against the committed baseline row by row and exits nonzero when any
-throughput metric regressed by more than the tolerance.
+metric regressed past the tolerance ``tol``.  The test is one ratio,
+``ref / fresh`` for throughput and ``fresh / ref`` for latency, against
+``1 + tol``: at the CI's 0.30 a throughput column fails when it drops
+by more than ``1 - 1/1.3`` = 23.1%, a latency column when it rises by
+more than 30%.  Failure lines print the real change: the drop
+``1 - fresh/ref`` for throughput, the rise ``fresh/ref - 1`` for
+latency.
 
 Matching is strict like-for-like: rows pair up only when every cell
 parameter agrees — every non-metric field except the counters a run
@@ -137,10 +143,13 @@ def compare(
                 else:
                     ratio = ref / value
                 if ratio > 1.0 + tolerance:
-                    direction = "rose" if _lower_is_better(field) else "fell"
+                    if _lower_is_better(field):
+                        change = f"rose {(ratio - 1.0) * 100:.1f}%"
+                    else:
+                        change = f"fell {(1.0 - value / ref) * 100:.1f}%"
                     failures.append(
-                        f"{label}:{table}: {field} {direction} "
-                        f"{(ratio - 1.0) * 100:.1f}% past tolerance "
+                        f"{label}:{table}: {field} {change} "
+                        f"past tolerance "
                         f"(baseline {ref:,.1f} -> fresh {value:,.1f}, "
                         f"row {dict(_row_key(row))})"
                     )
@@ -162,8 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,
-        help="allowed fractional regression before failing "
-             "(default 0.30 = 30%%)",
+        help="fail when ref/fresh (throughput) or fresh/ref (latency) "
+             "exceeds 1 + TOLERANCE (default 0.30: a throughput drop "
+             "past 23.1%% or a latency rise past 30%%)",
     )
     args = parser.parse_args(argv)
 
@@ -189,14 +199,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  dropped {table}: {key}")
         all_failures.extend(failures)
 
+    drop = (1.0 - 1.0 / (1.0 + args.tolerance)) * 100
+    bounds = (f"throughput drop past {drop:.1f}% or latency rise past "
+              f"{args.tolerance * 100:.0f}%")
     if all_failures:
-        print(f"\nFAIL: {len(all_failures)} metric(s) regressed more "
-              f"than {args.tolerance * 100:.0f}%:", file=sys.stderr)
+        print(f"\nFAIL: {len(all_failures)} metric(s) regressed "
+              f"({bounds}):", file=sys.stderr)
         for msg in all_failures:
             print(f"  {msg}", file=sys.stderr)
         return 1
-    print(f"OK: no regression past {args.tolerance * 100:.0f}% "
-          f"across {total_compared} compared rows")
+    print(f"OK: no {bounds} across {total_compared} compared rows")
     return 0
 
 

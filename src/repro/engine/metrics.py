@@ -43,7 +43,8 @@ HISTOGRAM_FAMILIES: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "solve_latency_seconds": (
         "time", "Per-request one-shot solve latency", ("solver",)),
     "feed_latency_seconds": (
-        "time", "Streaming feed call latency (per chunk batch)", ()),
+        "time", "Streaming feed latency (a served feed's queue wait "
+        "plus service, or one direct feed call)", ()),
     "drain_cycle_seconds": (
         "time", "Per-shard drain cycle duration", ("shard",)),
     "stream_chunk_steps": (
@@ -313,9 +314,9 @@ class EngineMetrics:
 
         ``proto`` is ``"json"`` (v1 newline-JSON frames) or ``"bin"``
         (v2 binary feed frames).  ``decode_seconds`` is CPU spent
-        decoding/validating frame payloads — off the event loop, in
-        the drain executor — so the v1-vs-v2 decode cost is a first-
-        class series next to the byte counters.
+        decoding/validating frame payloads when they are staged, so
+        the v1-vs-v2 decode cost is a first-class series next to the
+        byte counters.
         """
         with self._lock:
             row = self.wire.get(proto)
@@ -325,6 +326,12 @@ class EngineMetrics:
             row[1] += int(bytes_in)
             row[2] += int(bytes_out)
             row[3] += float(decode_seconds)
+
+    def record_feed_latency(self, seconds: float) -> None:
+        """One served feed's queue wait plus service time."""
+        if self.histograms_enabled:
+            with self._lock:
+                self.hist["feed_latency_seconds"].observe(seconds)
 
     def record_stream(
         self,

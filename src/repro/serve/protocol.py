@@ -459,6 +459,13 @@ class ClientArena:
             new_lanes = np.empty((0, self.lanes_per_row), dtype="<u8")
         return base, new_lanes, ids
 
+    def rollback(self, base: int, steps: int) -> None:
+        """Undo the last :meth:`intern` of ``steps`` rows that left the
+        table at ``base`` rows (its frame was never sent)."""
+        for _ in range(len(self._ids) - base):
+            self._ids.popitem()  # fresh rows were inserted last
+        self.rows_seen -= steps
+
 
 def _deflate_maybe(section: bytes, deflate: bool | None):
     """Compress when asked (or when it wins); returns (bytes, flag)."""
@@ -525,6 +532,10 @@ def encode_feed_bin(
         bytes((len(sid),)) + sid + _U32.pack(count) + head + section
     )
     if len(payload) > MAX_FRAME_BYTES:
+        if interned is not None:
+            # The frame is never sent, so its rows must not count
+            # either: the server's table stays at ``base``.
+            arena.rollback(base, count)
         raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     return BIN_HEADER.pack(
         BIN_MAGIC, BIN_VERSION, BIN_OP_FEED, flags, len(payload)
@@ -537,8 +548,8 @@ class BinFeedFrame:
 
     ``section`` stays encoded (possibly deflated) until the server
     knows the session's width: :meth:`raw_lanes` /
-    :meth:`interned_parts` inflate, length-check and bit-validate —
-    raw resolution runs in the drain executor, off the event loop.
+    :meth:`interned_parts` inflate, length-check and bit-validate when
+    the server stages the frame.
     """
 
     session: str

@@ -15,6 +15,11 @@ over stdin/stdout) and turns newline-delimited JSON frames
   :meth:`~repro.serve.shard.ShardPool.feed_shard` call per drain
   cycle.  Under load, frames that arrive while a cycle runs coalesce
   into the next one — the batch size adapts to the backlog;
+* **one thread** — decode, drain cycles, opens, closes and snapshots
+  all run on the event-loop thread.  Every stage is CPU bound in one
+  GIL, so handing work to an executor thread only added the hop and
+  the GIL contention; instead each drainer yields after every cycle,
+  so readers and reply senders run between back-to-back cycles;
 * **backpressure** — the queues are bounded (``queue_depth``); when a
   shard falls behind, ``feed`` frames wait in the reader coroutine,
   TCP flow control propagates the stall to the client, and memory
@@ -39,7 +44,6 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +81,13 @@ __all__ = ["ServeConfig", "ServerThread", "StreamServer"]
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Knobs of one serving process."""
+    """Knobs of one serving process (served on one event-loop thread)."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is in .address)
+    #: Hub shards, each with its own queue and drainer task.  They all
+    #: drain on the event-loop thread: shards partition the sessions,
+    #: they do not add parallelism.
     shards: int = 1
     max_sessions: int = 4096
     max_chunk_steps: int = 65536
@@ -141,23 +148,6 @@ async def _ready(reply: dict) -> dict:
     """A reply that needs no further work, as an awaitable (the reply
     sender awaits every staged item uniformly)."""
     return reply
-
-
-@dataclass
-class _EncodedChunk:
-    """A feed payload whose decode is deferred to the drain executor.
-
-    Base64/hex text for v1, a raw (possibly deflated) binary section
-    for v2 — either way the event loop never touches the bytes; the
-    drainer resolves them on the shard executor and books the CPU under
-    ``wire_decode_seconds_total{proto=...}``.
-    """
-
-    proto: str
-    _resolve: object  # () -> validated (C, L) uint64 lanes
-
-    def resolve(self) -> np.ndarray:
-        return self._resolve()
 
 
 class _LaneTable:
@@ -233,7 +223,7 @@ class _Job:
 
     kind: str  # "feed" | "close"
     session: str
-    lanes: object = None
+    lanes: np.ndarray | None = None
     future: asyncio.Future = None
     enqueued: float = 0.0
     trace: str | None = None
@@ -360,7 +350,6 @@ class StreamServer:
         self.counters = _ServerCounters()
         self._started_mono = time.monotonic()
         self._slow_printed = 0.0  # rate limiter for stderr slow lines
-        self._slow_lock = threading.Lock()
         self._metrics_http: MetricsHTTPServer | None = None
         self._reporter: asyncio.Task | None = None
         #: session id -> (universe width, shard) for feed decoding.
@@ -375,12 +364,6 @@ class StreamServer:
         self._drainers: list[asyncio.Task] = []
         self._server: asyncio.AbstractServer | None = None
         self._writers: set = set()  # live client connections
-        # Shard calls block (locks, NumPy); they run on this
-        # executor so the event loop keeps accepting frames.  One
-        # worker per shard plus one for open/close/stats traffic.
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.shards + 1, thread_name_prefix="serve"
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -466,15 +449,14 @@ class StreamServer:
                     job.future.set_exception(
                         RuntimeError("server stopped")
                     )
-        self._executor.shutdown(wait=True)
         if self._own_pool:
             self.pool.close()
 
     # -- drainers ----------------------------------------------------------
 
     async def _drain(self, shard: int) -> None:
-        """Forever: collect one cycle, run it, resolve its futures."""
-        loop = asyncio.get_running_loop()
+        """Forever: collect one cycle, run it, resolve its futures, and
+        yield so readers and reply senders run before the next cycle."""
         queue = self._queues[shard]
         while True:
             feeds, closes = await queue.take_cycle()
@@ -491,21 +473,13 @@ class StreamServer:
                 chunks = {sid: job.lanes for sid, job in feeds.items()}
                 t0 = time.perf_counter()
                 try:
-                    summaries, failed = await loop.run_in_executor(
-                        self._executor, self._run_cycle, shard, chunks
-                    )
-                except asyncio.CancelledError:
-                    raise
+                    summaries = self._run_cycle(shard, chunks)
                 except Exception as exc:  # noqa: BLE001 - reply, don't die
                     for job in feeds.values():
                         if not job.future.done():
                             job.future.set_exception(exc)
                 else:
                     service = time.perf_counter() - t0
-                    for sid, exc in failed.items():
-                        job = feeds.pop(sid)
-                        if not job.future.done():
-                            job.future.set_exception(exc)
                     for sid, job in feeds.items():
                         self._span(
                             "feed", job, t0, service, shard,
@@ -516,11 +490,7 @@ class StreamServer:
             for job in closes:
                 t0 = time.perf_counter()
                 try:
-                    run = await loop.run_in_executor(
-                        self._executor, self.pool.finish, job.session
-                    )
-                except asyncio.CancelledError:
-                    raise
+                    run = self.pool.finish(job.session)
                 except Exception as exc:  # noqa: BLE001 - reply, don't die
                     if not job.future.done():
                         job.future.set_exception(exc)
@@ -531,46 +501,25 @@ class StreamServer:
                     )
                     if not job.future.done():
                         job.future.set_result(run)
+            await asyncio.sleep(0)
 
-    def _run_cycle(self, shard: int, chunks: dict):
-        """One executor hop: resolve deferred decodes, feed the shard.
-
-        Runs on the shard executor.  A chunk whose decode fails (bad
-        base64, wrong section length, tail bits set) fails alone — its
-        error lands in ``failed`` and the rest of the cycle proceeds —
-        and the decode CPU is booked per protocol either way.
-        """
-        resolved: dict[str, object] = {}
-        failed: dict[str, Exception] = {}
-        decode: dict[str, float] = {}
-        for sid, payload in chunks.items():
-            if not isinstance(payload, _EncodedChunk):
-                resolved[sid] = payload
-                continue
-            t0 = time.perf_counter()
-            try:
-                resolved[sid] = payload.resolve()
-            except ProtocolError as exc:
-                failed[sid] = exc
-            finally:
-                decode[payload.proto] = (
-                    decode.get(payload.proto, 0.0)
-                    + time.perf_counter() - t0
-                )
-        for proto, seconds in decode.items():
-            self.pool.metrics.record_wire(proto, decode_seconds=seconds)
-        summaries = (
-            self.pool.feed_shard(shard, resolved) if resolved else {}
-        )
-        return summaries, failed
+    def _run_cycle(self, shard: int, chunks: dict) -> dict:
+        """One drain cycle: feed the shard its batch of decoded
+        ``(C, L)`` chunks (every payload was decoded and validated when
+        its frame was staged); returns session id -> summary.  Its own
+        method so span timers can wrap the cycle from outside."""
+        return self.pool.feed_shard(shard, chunks)
 
     def _span(
         self, kind: str, job: _Job, t0: float, service: float,
         shard: int, **detail,
     ) -> None:
-        """Record one queued request's span (queue wait + service) and
-        feed the rate-limited slow-request stderr log."""
+        """Record one queued request's span (queue wait + service),
+        book a feed's total in ``feed_latency_seconds`` and feed the
+        rate-limited slow-request stderr log."""
         queue_wait = max(0.0, t0 - job.enqueued) if job.enqueued else 0.0
+        if kind == "feed":
+            self.pool.metrics.record_feed_latency(queue_wait + service)
         event = self.tracer.record(
             kind,
             duration=queue_wait + service,
@@ -587,10 +536,9 @@ class StreamServer:
             and event.duration >= threshold
         ):
             now = time.monotonic()
-            with self._slow_lock:
-                if now - self._slow_printed < 1.0:
-                    return
-                self._slow_printed = now
+            if now - self._slow_printed < 1.0:
+                return
+            self._slow_printed = now
             trace = f" trace={event.trace}" if event.trace else ""
             print(
                 f"[repro.serve] slow {kind}: session={job.session} "
@@ -775,7 +723,10 @@ class StreamServer:
             # Opens run to completion at stage time: a pipelined burst
             # of open-then-feed must find the session registered when
             # the feed stages one frame later.
-            return _ready(await self._handle_open(frame))
+            return _ready(self._handle_open(frame))
+        # Stats and metrics stay coroutines: the reply sender runs them
+        # in request order, so their snapshots include every earlier
+        # frame's work.
         if isinstance(frame, MetricsFrame):
             return self._handle_metrics(frame)
         return self._handle_stats(frame)
@@ -823,12 +774,12 @@ class StreamServer:
     async def _stage_feed(self, frame: FeedFrame):
         self.counters.bump("feeds")
         width, shard = self._session_of(frame.session)
-        masks, count, encoding = frame.masks, frame.count, frame.encoding
-        lanes = _EncodedChunk(
-            "json",
-            lambda: decode_mask_chunk(
-                masks, count, width, encoding=encoding
-            ),
+        t0 = time.perf_counter()
+        lanes = decode_mask_chunk(
+            frame.masks, frame.count, width, encoding=frame.encoding
+        )
+        self.pool.metrics.record_wire(
+            "json", decode_seconds=time.perf_counter() - t0
         )
         future = await self._enqueue_feed(
             frame.session, shard, lanes, frame.trace
@@ -844,12 +795,10 @@ class StreamServer:
             max_chunk_steps=self.config.max_chunk_steps,
         )
         width, shard = self._session_of(bframe.session)
+        t0 = time.perf_counter()
         if bframe.interned:
-            # Interned sections are small (first-seen rows plus an id
-            # row) and ordering-critical — the connection's table must
-            # advance in frame order — so they resolve at stage time,
-            # not in the drain executor.
-            t0 = time.perf_counter()
+            # The connection's table must advance in frame order, which
+            # staging (in read order) guarantees.
             table = conn.table(width)
             if bframe.base_epoch != len(table):
                 raise ProtocolError(
@@ -869,13 +818,11 @@ class StreamServer:
                 conn.intern_bytes += grow
                 self._intern_bytes += grow
             lanes = table.gather(ids)
-            self.pool.metrics.record_wire(
-                "bin", decode_seconds=time.perf_counter() - t0
-            )
         else:
-            lanes = _EncodedChunk(
-                "bin", lambda: bframe.raw_lanes(width)
-            )
+            lanes = bframe.raw_lanes(width)
+        self.pool.metrics.record_wire(
+            "bin", decode_seconds=time.perf_counter() - t0
+        )
         future = await self._enqueue_feed(bframe.session, shard, lanes)
         return self._finish_feed(bframe.session, future, {})
 
@@ -910,7 +857,7 @@ class StreamServer:
             **_echo(frame),
         )
 
-    async def _handle_open(self, frame: OpenFrame) -> dict:
+    def _handle_open(self, frame: OpenFrame) -> dict:
         self.counters.bump("opens")
         if len(self.pool) >= self.config.max_sessions:
             self.counters.bump("rejected_sessions")
@@ -935,13 +882,9 @@ class StreamServer:
             )
         scheduler = policy_from_spec(frame.policy, frame.w, frame.params)
         universe = SwitchUniverse.of_size(frame.width)
-        loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
-        sid = await loop.run_in_executor(
-            self._executor,
-            lambda: self.pool.open(
-                scheduler, universe, frame.w, session_id=frame.session
-            ),
+        sid = self.pool.open(
+            scheduler, universe, frame.w, session_id=frame.session
         )
         shard = self.pool.shard_of(sid)
         self.tracer.record(
@@ -966,8 +909,7 @@ class StreamServer:
 
     async def _handle_stats(self, _frame: StatsFrame) -> dict:
         self.counters.bump("stats_calls")
-        loop = asyncio.get_running_loop()
-        pool_stats = await loop.run_in_executor(self._executor, self.pool.stats)
+        pool_stats = self.pool.stats()
         return ok_frame(
             "stats",
             server=self.counters.snapshot(),
@@ -982,26 +924,14 @@ class StreamServer:
         JSON summary snapshot, and the Prometheus text exposition —
         everything ``GET /metrics`` serves, over the frame protocol."""
         self.counters.bump("metrics_calls")
-        loop = asyncio.get_running_loop()
-
-        def build():
-            return (
-                self.metrics_snapshot(),
-                {
-                    name: fam.to_wire()
-                    for name, fam in self.pool.merged_histograms().items()
-                },
-                self.exposition(),
-            )
-
-        snapshot, wire, text = await loop.run_in_executor(
-            self._executor, build
-        )
         return ok_frame(
             "metrics",
-            metrics=snapshot,
-            histograms=wire,
-            exposition=text,
+            metrics=self.metrics_snapshot(),
+            histograms={
+                name: fam.to_wire()
+                for name, fam in self.pool.merged_histograms().items()
+            },
+            exposition=self.exposition(),
         )
 
     # -- telemetry plane ---------------------------------------------------
@@ -1105,15 +1035,9 @@ class StreamServer:
 
     async def _stats_reporter(self) -> None:
         """Periodic one-line stderr report (``--stats-interval``)."""
-        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.config.stats_interval)
-            try:
-                stats = await loop.run_in_executor(
-                    self._executor, self.pool.stats
-                )
-            except RuntimeError:  # executor shutting down
-                return
+            stats = self.pool.stats()
             stream = stats["engine"]["stream"]
             feed = stats["histograms"]["feed_latency_seconds"]
             drain = stats["histograms"]["drain_cycle_seconds"]

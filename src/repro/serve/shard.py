@@ -3,8 +3,11 @@
 A single :class:`~repro.engine.stream.StreamHub` advances sessions back
 to back in one thread.  Sessions are independent, so the serving layer
 hash-partitions them across a pool of *shards*, each one in-process
-hub behind its own lock, advanced by its own executor worker.  More
-shards have not been shown to add throughput: on E17's calm fleet
+hub behind its own lock.  ``repro serve`` drains every shard on its
+event-loop thread (:meth:`ShardPool.feed_shard`);
+:meth:`ShardPool.feed_many` advances shards on an executor worker
+each.  More shards have not been shown to add throughput: on E17's
+calm fleet
 (32 sessions × 4000 steps, width 256) one to four shards went from
 2.00M to 1.68M steps/s.
 
@@ -74,14 +77,14 @@ class ShardPool:
 
     The drop-in sharded counterpart of a single
     :class:`~repro.engine.stream.StreamHub`: ``open`` / ``feed_many`` /
-    ``finish`` keep their shapes, chunks are partitioned by the owning
-    shard and advanced concurrently (one executor worker per shard),
-    and per-session results are bit-identical to the single-hub replay
-    regardless of ``shards``.
+    ``finish`` keep their shapes, :meth:`feed_many` partitions chunks
+    by the owning shard and advances shards concurrently (one executor
+    worker per shard), and per-session results are bit-identical to
+    the single-hub replay regardless of ``shards``.
 
-    Each shard is one :class:`StreamHub` behind a lock (drainers and
-    CLI paths may touch different shards concurrently, never one shard
-    twice).  A shard hub keeps its own private metrics — the
+    Each shard is one :class:`StreamHub` behind a lock (``feed_many``'s
+    workers and other threads may touch different shards concurrently,
+    never one shard twice).  A shard hub keeps its own private metrics — the
     deterministic histogram families it records merge per shard in
     :meth:`merged_histograms` — and drops finished runs, so a serving
     process closing sessions forever does not retain them.

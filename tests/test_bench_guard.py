@@ -93,6 +93,31 @@ class TestDirections:
         if fails:
             assert "rose" in failures[0]
 
+    def test_messages_print_the_real_change(self, guard):
+        """A throughput line prints the drop ``1 - fresh/ref`` (528k ->
+        217k fell 58.9%, not the 143.3% slowdown factor); a latency
+        line prints the rise ``fresh/ref - 1``."""
+        base = {"t": [{"sessions": 1, "steps_per_s": 528_000.0,
+                       "us_per_step": 1.0}]}
+        fresh = {"t": [{"sessions": 1, "steps_per_s": 217_000.0,
+                        "us_per_step": 2.5}]}
+        failures, _ = guard.compare(base, fresh, 0.30, "x")
+        assert len(failures) == 2
+        assert "steps_per_s fell 58.9% past tolerance" in failures[0]
+        assert "us_per_step rose 150.0% past tolerance" in failures[1]
+
+    @pytest.mark.parametrize("fresh_value,fails", [
+        (77.0, False),   # a 23.0% drop: ref/fresh = 1.2987
+        (76.9, True),    # a 23.1% drop: ref/fresh = 1.3004
+    ])
+    def test_throughput_threshold_is_a_23_1_percent_drop(
+        self, guard, fresh_value, fails
+    ):
+        base = {"t": [{"sessions": 4, "steps_per_s": 100.0}]}
+        fresh = {"t": [{"sessions": 4, "steps_per_s": fresh_value}]}
+        failures, _ = guard.compare(base, fresh, 0.30, "x")
+        assert bool(failures) == fails
+
     def test_ratios_are_not_guarded(self, guard):
         base = {"t": [{"sessions": 4, "speedup": 4.0,
                        "fused_fraction": 1.0}]}
@@ -122,3 +147,23 @@ class TestMain:
         assert code == 0
         assert "1 rows compared, 0 regressions, 1 dropped rows" in out
         assert "dropped hub: {'sessions': 64, 'smoke': True}" in out
+        assert ("OK: no throughput drop past 23.1% or latency rise "
+                "past 30%") in out
+
+    def test_failure_summary_states_the_applied_bounds(
+        self, guard, tmp_path, capsys
+    ):
+        for name, rate in (("base", 528_000.0), ("fresh", 217_000.0)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "BENCH_e16.json").write_text(json.dumps(
+                {"tables": {"hub": [{"sessions": 1, "steps_per_s": rate}]}}
+            ))
+        code = guard.main([
+            "--baseline", str(tmp_path / "base"),
+            "--fresh", str(tmp_path / "fresh"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("FAIL: 1 metric(s) regressed (throughput drop past "
+                "23.1% or latency rise past 30%)") in err
+        assert "steps_per_s fell 58.9%" in err

@@ -279,6 +279,29 @@ class TestServeTelemetry:
                 assert drain["count"] > 0
                 assert drain["p50"] <= drain["p99"]
 
+    def test_feed_latency_counts_every_served_feed(self, obs_server):
+        """Every feed the serve path answers books its queue wait plus
+        service time in ``feed_latency_seconds`` — both protocols, and
+        pipelined bursts too."""
+        address, _server = obs_server
+        masks = drifting_masks(WIDTH, 120, seed=3)
+        with ServeClient(*address, proto="json") as v1, ServeClient(
+            *address, proto="bin"
+        ) as v2:
+            a = v1.open(policy="rent_or_buy", width=WIDTH, w=W)
+            b = v2.open(policy="window", width=WIDTH, w=W, k=4)
+            for lo in range(0, 120, 40):
+                v1.feed(a, masks[lo : lo + 40])
+            v2.feed_pipelined([(b, masks[lo : lo + 30])
+                               for lo in range(0, 120, 30)])
+            stats = v1.stats()
+            v1.close_session(a)
+            v2.close_session(b)
+        feed = stats["histograms"]["feed_latency_seconds"]
+        assert stats["server"]["feeds"] == 3 + 4
+        assert feed["count"] == 3 + 4
+        assert 0.0 < feed["p50"] <= feed["p99"]
+
     def test_slow_log_and_span_split(self):
         config = ServeConfig(shards=1, slow_ms=1e-6, trace_capacity=128)
         thread = ServerThread(config)

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.loadgen import drifting_masks, run_loadgen
 from repro.serve.protocol import encode_mask_chunk
 from repro.serve.server import ServeConfig, ServerThread
-from repro.solvers.online import RentOrBuyScheduler
+from repro.solvers.online import RentOrBuyScheduler, WindowScheduler
 
 WIDTH = 96
 W = float(WIDTH)
@@ -242,6 +243,56 @@ class TestStatsAndOrdering:
             res = client.close_session(sid)
             assert res.steps == 300
             assert res.cost == total
+
+
+class TestSingleThreadFairness:
+    def test_other_connection_served_during_a_deep_pipeline(self):
+        """Connection A pipelines hundreds of feeds for one session
+        past ``queue_depth`` (one feed per drain cycle, so its reader
+        stalls on the full queue).  Connection B's open, feed and close
+        complete while A's burst is still being served, and both
+        sessions close oracle-identical."""
+        chunk, n_feeds = 32, 400
+        a_masks = drifting_masks(WIDTH, chunk * n_feeds, seed=11, phase=40)
+        b_masks = drifting_masks(WIDTH, 3 * chunk, seed=12, phase=40)
+        config = ServeConfig(shards=1, queue_depth=2, pipeline=8)
+        with ServerThread(config) as address:
+            with ServeClient(*address) as a, ServeClient(*address) as b:
+                sid_a = a.open(policy="rent_or_buy", width=WIDTH, w=W,
+                               memory=4, session_id="a")
+                burst = b"".join(
+                    a._encode_feed(
+                        sid_a, a_masks[lo : lo + chunk], trace=None
+                    )
+                    for lo in range(0, len(a_masks), chunk)
+                )
+                sender = threading.Thread(target=a._send, args=(burst,))
+                sender.start()
+                deadline = time.monotonic() + 30.0
+                while b.stats()["engine"]["stream"]["steps"] == 0:
+                    assert time.monotonic() < deadline, "A never served"
+                sid_b = b.open(policy="window", width=WIDTH, w=W, k=4,
+                               session_id="b")
+                b.feed(sid_b, b_masks)
+                b_cost = b.close_session(sid_b).cost
+                served = b.stats()["engine"]["stream"]["steps"]
+                assert served - len(b_masks) < len(a_masks)
+                replies = [a._recv_reply() for _ in range(n_feeds)]
+                sender.join(timeout=30)
+                assert not sender.is_alive()
+                assert all(r["ok"] for r in replies)
+                a_cost = a.close_session(sid_a).cost
+
+        hub = StreamHub()
+        universe = SwitchUniverse.of_size(WIDTH)
+        hub.open(RentOrBuyScheduler(W, memory=4), universe, W,
+                 session_id="a")
+        hub.open(WindowScheduler(k=4), universe, W, session_id="b")
+        hub.feed_many({"a": a_masks, "b": b_masks})
+        runs = hub.finish_all()
+        assert a_cost == runs["a"].cost
+        assert replies[-1]["cumulative_cost"] == runs["a"].cost
+        assert b_cost == runs["b"].cost
 
 
 class TestShutdown:

@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.packed import lane_count, masks_to_lanes
 from repro.core.switches import SwitchUniverse
-from repro.engine.stream import StreamSession
+from repro.engine.stream import StreamHub, StreamSession
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     ARENA_PROBE_ROWS,
@@ -45,6 +45,7 @@ from repro.serve.protocol import (
     BIN_OP_FEED,
     BIN_VERSION,
     MAX_INTERN_BYTES,
+    MAX_FRAME_BYTES,
     ClientArena,
     ProtocolError,
     encode_feed_bin,
@@ -443,6 +444,48 @@ class TestServedProtocolV2:
                 assert client.feed(sid, [1]).steps == 1
                 assert client.close_session(sid).steps == 4
 
+    def test_undecodable_raw_feed_in_a_burst_fails_alone(
+        self, oracle_cost
+    ):
+        """A raw section that fails to decode, pipelined between good
+        feeds, earns its own error reply when it is staged: the other
+        feeds of the burst are served, and the connection keeps going
+        to oracle-identical closes."""
+        with ServerThread(ServeConfig(shards=2)) as (host, port):
+            with ServeClient(host, port, proto="bin") as client:
+                sids = [
+                    client.open(width=WIDTH, w=5.0, session_id=f"d{i}")
+                    for i in range(4)
+                ]
+                half = len(TRACE) // 2
+                # Bit 50 lies beyond the 40-switch universe.
+                bad = encode_feed_bin(
+                    sids[1],
+                    np.array([[1 << 50]], dtype=np.uint64),
+                    WIDTH,
+                    deflate=False,
+                )
+                frames = [
+                    client._encode_feed(sid, TRACE[:half], trace=None)
+                    for sid in sids
+                ]
+                frames.insert(2, bad)
+                client._send(b"".join(frames))
+                replies = [client._recv_reply() for _ in frames]
+                assert [r["ok"] for r in replies] == [
+                    True, True, False, True, True
+                ]
+                assert "beyond" in replies[2]["error"]
+                costs = {r["session"]: r["cost"] for r in replies if r["ok"]}
+                assert len(set(costs.values())) == 1
+                for sid in sids:
+                    assert client.feed(sid, TRACE[half:]).steps == (
+                        len(TRACE) - half
+                    )
+                for sid in sids:
+                    assert client.close_session(sid).cost == oracle_cost
+                assert client.stats()["server"]["protocol_errors"] == 1
+
     def test_malformed_binary_payload_rejected(self):
         with ServerThread(ServeConfig(shards=1)) as (host, port):
             with ServeClient(host, port, proto="bin") as client:
@@ -546,6 +589,49 @@ def _await_intern_bytes(probe: ServeClient, want: int) -> None:
     while probe.stats()["intern_bytes"] != want:
         assert time.monotonic() < deadline, "intern tables not freed"
         time.sleep(0.02)
+
+
+class TestArenaCommitOrder:
+    def test_oversized_frame_leaves_the_arena_in_step(self):
+        """A chunk whose interned frame would exceed ``MAX_FRAME_BYTES``
+        (2400 steps, 1200 fresh width-8192 rows) raises before it is
+        sent and commits nothing: the client's table stays in step with
+        the server's, so the next interned feed on the connection is
+        served, at the cost an in-process hub computes."""
+        L = lane_count(WIDE)
+        fresh = np.random.default_rng(5).integers(
+            0, 1 << 63, size=(1200, L), dtype=np.uint64
+        )
+        oversized = np.repeat(fresh, 2, axis=0)
+        first, second = _wide_chunks(2)
+        policy = policy_from_spec("rent_or_buy", 5.0, {})
+        hub = StreamHub()
+        hub.open(policy, SwitchUniverse.of_size(WIDE), 5.0, session_id="h")
+        expected = [
+            hub.feed_many({"h": lanes})["h"].cost for lanes in (first, second)
+        ]
+        with ServerThread(ServeConfig(shards=1)) as (host, port):
+            with ServeClient(
+                host, port, proto="bin", deflate=False
+            ) as client:
+                sid = client.open(width=WIDE, w=5.0)
+                assert client.feed(sid, first).cost == expected[0]
+                arena = client._arenas[WIDE]
+                epoch = arena.epoch
+                assert epoch == WIDE_FRESH
+                with pytest.raises(
+                    ProtocolError, match=f"exceeds {MAX_FRAME_BYTES}"
+                ):
+                    client.feed(sid, oversized)
+                assert arena.epoch == epoch and arena.active
+                assert client.feed(sid, second).cost == expected[1]
+                assert arena.epoch == 2 * WIDE_FRESH
+                stats = client.stats()
+                assert stats["intern_bytes"] == arena.nbytes
+                assert stats["server"]["protocol_errors"] == 0
+                assert client.close_session(sid).cost == (
+                    hub.finish("h").cost
+                )
 
 
 class TestInternBudget:
